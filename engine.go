@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 
 	"parmp/internal/core"
+	"parmp/internal/cspace"
+	"parmp/internal/env"
 	"parmp/internal/prm"
 )
 
@@ -27,13 +29,80 @@ var ErrStopped = core.ErrStopped
 type Engine struct {
 	space *Space
 
-	mu   sync.Mutex // serializes growth
-	gen  uint64     // snapshots published so far (guarded by mu)
-	prm  *core.PRMEngine
-	rrt  *core.RRTEngine
-	rrtc *core.RRTConnectEngine
+	mu  sync.Mutex // serializes growth
+	gen uint64     // snapshots published so far (guarded by mu)
+	p   planner
 
 	snap atomic.Pointer[Snapshot]
+}
+
+// planner is the core engine behind an Engine: growth, snapshot
+// indexing and incremental repair. Every method runs with the Engine's
+// mu held.
+type planner interface {
+	// GrowRound commits one growth round (core engine contract).
+	GrowRound(stop <-chan struct{}) error
+	// fill sets s's rounds, result and query index from the committed
+	// state.
+	fill(s *Snapshot)
+	// repair re-validates the committed structure against delta, which
+	// takes the world of the last published snapshot old to next.
+	repair(old *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (RepairStats, error)
+}
+
+// prmPlanner serves a PRM engine.
+type prmPlanner struct {
+	*core.PRMEngine
+	// repaired is the index repair derived incrementally from the old
+	// snapshot's; the next fill publishes it instead of rebuilding.
+	repaired *prm.Index
+}
+
+func (p *prmPlanner) fill(s *Snapshot) {
+	s.rounds = p.Rounds()
+	s.prmRes = p.Result()
+	s.prmIx, p.repaired = p.repaired, nil
+	if s.prmIx == nil {
+		s.prmIx = prm.BuildIndex(s.prmRes.Roadmap)
+	}
+}
+
+func (p *prmPlanner) repair(old *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (RepairStats, error) {
+	// Scope the re-validation with a kd radius query over the committed
+	// snapshot's index; AffectedVertices' nil ("nothing affected") must
+	// not reach the core as nil ("scan everything").
+	cand := old.prmIx.AffectedVertices(cspace.NewDeltaChecker(old.space, delta))
+	if cand == nil {
+		cand = []int{}
+	}
+	rep, err := p.ApplyDelta(next, delta, cand, stop)
+	if err != nil {
+		return RepairStats{}, err
+	}
+	p.repaired = old.prmIx
+	if rep.VertexRemap != nil {
+		// Scoped index repair: labels carry over for untouched
+		// components, only the kd-tree and touched components rebuild.
+		p.repaired = prm.RepairIndex(old.prmIx, p.Result().Roadmap, rep.VertexRemap, rep.TouchedVertices)
+	}
+	return rep.Stats, nil
+}
+
+// treePlanner serves a tree engine (RRT, RRT* or RRT-Connect).
+type treePlanner struct{ *core.TreeEngine }
+
+func (t treePlanner) fill(s *Snapshot) {
+	s.rounds = t.Rounds()
+	s.rrtRes = t.Result()
+	s.rrtIx = core.BuildTreeIndex(s.rrtRes)
+}
+
+func (t treePlanner) repair(_ *Snapshot, next *Space, delta env.Delta, stop <-chan struct{}) (RepairStats, error) {
+	rep, err := t.ApplyDelta(next, delta, stop)
+	if err != nil {
+		return RepairStats{}, err
+	}
+	return rep.Stats, nil
 }
 
 // NewEngine creates a PRM engine over space. The C-space is subdivided
@@ -44,22 +113,18 @@ func NewEngine(space *Space, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{space: space, prm: pe}
-	e.publish()
-	return e, nil
+	return newEngine(space, &prmPlanner{PRMEngine: pe}), nil
 }
 
 // NewRRTEngine creates an RRT engine rooted at root: snapshots answer
 // goal queries with paths from root, and each Grow extends every
 // region's branch. The initial snapshot is valid and empty.
 func NewRRTEngine(space *Space, root Config, opts Options) (*Engine, error) {
-	re, err := core.NewRRTEngine(space, root, opts)
+	te, err := core.NewRRTEngine(space, root, opts)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{space: space, rrt: re}
-	e.publish()
-	return e, nil
+	return newEngine(space, treePlanner{te}), nil
 }
 
 // NewRRTConnectEngine creates an RRT-Connect engine rooted at root and
@@ -69,44 +134,27 @@ func NewRRTEngine(space *Space, root Config, opts Options) (*Engine, error) {
 // (Dubins) are rejected — RRT-Connect needs symmetric local motions.
 // The initial snapshot is valid and empty.
 func NewRRTConnectEngine(space *Space, root, goal Config, opts Options) (*Engine, error) {
-	ce, err := core.NewRRTConnectEngine(space, root, goal, opts)
+	te, err := core.NewRRTConnectEngine(space, root, goal, opts)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{space: space, rrtc: ce}
+	return newEngine(space, treePlanner{te}), nil
+}
+
+// newEngine wraps p and publishes its initial snapshot.
+func newEngine(space *Space, p planner) *Engine {
+	e := &Engine{space: space, p: p}
 	e.publish()
-	return e, nil
+	return e
 }
 
 // publish builds and atomically installs a fresh snapshot of the
 // engine's committed result. Called with mu held (or before the engine
 // escapes the constructor).
-func (e *Engine) publish() { e.publishIndexed(nil) }
-
-// publishIndexed is publish with an optional pre-repaired PRM index:
-// ApplyDelta derives the new index incrementally from the old snapshot's
-// (prm.RepairIndex) instead of rebuilding component labels from scratch.
-func (e *Engine) publishIndexed(ix *prm.Index) {
+func (e *Engine) publish() {
 	e.gen++
 	s := &Snapshot{space: e.space, gen: e.gen, epoch: e.space.Env.Epoch}
-	switch {
-	case e.prm != nil:
-		s.rounds = e.prm.Rounds()
-		s.prmRes = e.prm.Result()
-		if ix != nil {
-			s.prmIx = ix
-		} else {
-			s.prmIx = prm.BuildIndex(s.prmRes.Roadmap)
-		}
-	case e.rrtc != nil:
-		s.rounds = e.rrtc.Rounds()
-		s.rrtRes = e.rrtc.Result()
-		s.rrtIx = core.BuildTreeIndex(s.rrtRes)
-	default:
-		s.rounds = e.rrt.Rounds()
-		s.rrtRes = e.rrt.Result()
-		s.rrtIx = core.BuildTreeIndex(s.rrtRes)
-	}
+	e.p.fill(s)
 	e.snap.Store(s)
 }
 
@@ -130,16 +178,7 @@ func (e *Engine) Grow(ctx context.Context) error {
 		}
 		stop = ctx.Done()
 	}
-	var err error
-	switch {
-	case e.prm != nil:
-		err = e.prm.GrowRound(stop)
-	case e.rrtc != nil:
-		err = e.rrtc.GrowRound(stop)
-	default:
-		err = e.rrt.GrowRound(stop)
-	}
-	if err != nil {
+	if err := e.p.GrowRound(stop); err != nil {
 		return err
 	}
 	e.publish()

@@ -20,7 +20,7 @@ func growPRM(t *testing.T, e *PRMEngine, n int) *PRMResult {
 	return e.Result()
 }
 
-func growRRT(t *testing.T, e *RRTEngine, n int) *RRTResult {
+func growRRT(t *testing.T, e *TreeEngine, n int) *RRTResult {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if err := e.GrowRound(nil); err != nil {

@@ -123,15 +123,8 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	n := rg.NumRegions()
 	round := e.round
 
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	ownerMark := append([]int(nil), rg.Owner...)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		copy(rg.Owner, ownerMark)
-		return ErrStopped
-	}
+	rb := pl.begin(stop, rg.Owner)
+	defer rb.end()
 
 	var phases PhaseBreakdown
 	if round == 0 {
@@ -160,7 +153,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 		}),
 	})
 	if sampleRep.Stopped || sched.Canceled(stop) {
-		return abort()
+		return rb.abort()
 	}
 	phases.Sampling = sampleRep.Makespan + pl.barrier()
 	sampleCounts := make([]int, n)
@@ -187,7 +180,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 		phases.Redistribution = cost + pl.barrier()
 	}
 	if sched.Canceled(stop) {
-		return abort()
+		return rb.abort()
 	}
 
 	// --- Node-connection phase (expensive; stealable). Each region
@@ -222,7 +215,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 		salt:   saltPRMConstruct,
 	})
 	if report.Stopped || sched.Canceled(stop) {
-		return abort()
+		return rb.abort()
 	}
 	phases.NodeConnection = report.Makespan + pl.barrier()
 
@@ -250,7 +243,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	}
 	pl.hostExec("region-connect", connectTasks)
 	if sched.Canceled(stop) {
-		return abort()
+		return rb.abort()
 	}
 	connLoad := make([]float64, opts.Procs)
 	connQueues := make([][]work.Task, opts.Procs)
@@ -278,7 +271,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	}
 	connRep := pl.replay(phaseSpec{name: "region-connect", queues: connQueues})
 	if connRep.Stopped || sched.Canceled(stop) {
-		return abort()
+		return rb.abort()
 	}
 	phases.RegionConnection = connRep.Makespan + pl.barrier()
 	phases.Other = pl.barrier()
@@ -319,12 +312,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 		res.CVBefore = cvBefore
 	}
 	res.Phases = prev.Phases
-	res.Phases.Setup += phases.Setup
-	res.Phases.Sampling += phases.Sampling
-	res.Phases.Redistribution += phases.Redistribution
-	res.Phases.NodeConnection += phases.NodeConnection
-	res.Phases.RegionConnection += phases.RegionConnection
-	res.Phases.Other += phases.Other
+	res.Phases.add(phases)
 	res.TotalTime = res.Phases.Total()
 	res.NodeLoads = make([]float64, opts.Procs)
 	for i := 0; i < n; i++ {

@@ -7,60 +7,25 @@ import (
 
 	"parmp/internal/cspace"
 	"parmp/internal/geom"
-	"parmp/internal/metrics"
-	"parmp/internal/region"
-	"parmp/internal/repart"
 	"parmp/internal/rng"
 	"parmp/internal/rrt"
-	"parmp/internal/sched"
-	"parmp/internal/work"
 )
 
-// RRTConnectEngine grows the radial-subdivision parallel RRT-Connect
-// incrementally: every region grows TWO trees — one rooted at the shared
-// root (the subdivision apex), one at the goal side of its cone (at the
-// global goal for the region containing it) — alternately extending and
-// greedily connecting until they meet. Met regions stop growing; their
-// merged, root-anchored branch joins the cross-region connection phase
-// exactly like a plain RRT branch, so the whole load-balancing pipeline
-// (k-ray weights, repartitioning, work stealing, bridge pruning) applies
-// unchanged. The one-shot ParallelRRTConnect is exactly one round.
-//
-// An RRTConnectEngine is not safe for concurrent use; the serving layer
-// (package parmp) serializes growth and publishes immutable snapshots.
-type RRTConnectEngine struct {
-	s      *cspace.Space
-	root   cspace.Config
-	goal   cspace.Config
-	opts   Options
-	pl     *pipeline
-	rg     *region.Graph
-	params rrt.Params
-
-	// bis holds each region's committed tree pair (nil before the
-	// region's first committed round).
-	bis          []*rrt.BiTree
-	bridges      [][4]int
-	prunedCycles int
-	// costAcc accumulates the bounded per-region construct-cost summary
-	// across committed rounds (published as Result().RegionCosts).
-	costAcc []RegionCost
-	// repairAcc accumulates committed ApplyDelta repair stats.
-	repairAcc RepairStats
-
-	res   *RRTResult // last committed cumulative result
-	round int
-}
-
 // NewRRTConnectEngine validates opts and builds the radial subdivision
-// about root. RRT-Connect marches both trees along straight local plans
-// in both directions, so it requires symmetric local motions: spaces
-// with a steering function (Dubins) are rejected. The goal must be a
+// about root for RRT-Connect: every region grows TWO trees — one rooted
+// at the shared root (the subdivision apex), one at the goal side of its
+// cone (at the global goal for the region containing it) — alternately
+// extending and greedily connecting until they meet. Met pairs stop
+// growing. opts.Star is ignored.
+//
+// RRT-Connect marches both trees along straight local plans in both
+// directions, so it requires symmetric local motions: spaces with a
+// steering function (Dubins) are rejected. The goal must be a
 // valid-length configuration; it seeds the goal-side tree of whichever
 // region contains it.
-func NewRRTConnectEngine(s *cspace.Space, root, goal cspace.Config, opts Options) (*RRTConnectEngine, error) {
-	opts = opts.Defaults()
-	if err := opts.Validate(); err != nil {
+func NewRRTConnectEngine(s *cspace.Space, root, goal cspace.Config, opts Options) (*TreeEngine, error) {
+	e, err := newTreeEngine(s, root, opts, saltConnectConstruct)
+	if err != nil {
 		return nil, err
 	}
 	if s.Steer != nil {
@@ -72,277 +37,111 @@ func NewRRTConnectEngine(s *cspace.Space, root, goal cspace.Config, opts Options
 	if goal.Dim() != root.Dim() {
 		return nil, fmt.Errorf("core: goal dimension %d != root dimension %d", goal.Dim(), root.Dim())
 	}
-	apex := root.Clone()
-	setupRNG := rng.Derive(opts.Seed, 0xabcdef)
-	rg := region.RadialSubdivision(apex, region.RadialSpec{
-		Regions:      opts.Regions,
-		K:            opts.RegionK,
-		Radius:       opts.Radius,
-		OverlapAngle: opts.Overlap,
-	}, setupRNG)
-	assignContiguous(rg, opts.Procs)
+	e.goal = goal.Clone()
 	// Random radial cones cover direction space only approximately (each
 	// half-angle is the nearest-ray spacing), so the goal's direction can
 	// fall in a gap between every cone. Deterministically widen the cone
 	// nearest the goal until it contains it: RRT-Connect's advantage
 	// hinges on exactly one region rooting its goal-side tree at the goal.
-	if goal.Dim() == apex.Dim() {
-		if v := goal.Sub(apex); v.Norm() > 0 && v.Norm() <= opts.Radius {
-			best, bestAngle := -1, math.MaxFloat64
-			for i := 0; i < rg.NumRegions(); i++ {
-				if a := geom.AngleBetween(v, rg.Region(i).Ray); a < bestAngle {
-					best, bestAngle = i, a
-				}
-			}
-			if reg := rg.Region(best); reg.HalfAngle <= bestAngle {
-				reg.HalfAngle = bestAngle + 1e-9
+	rg := e.rg
+	if v := goal.Sub(e.root); v.Norm() > 0 && v.Norm() <= e.opts.Radius {
+		best, bestAngle := -1, math.MaxFloat64
+		for i := 0; i < rg.NumRegions(); i++ {
+			if a := geom.AngleBetween(v, rg.Region(i).Ray); a < bestAngle {
+				best, bestAngle = i, a
 			}
 		}
-	}
-	e := &RRTConnectEngine{
-		s:      s,
-		root:   apex,
-		goal:   goal.Clone(),
-		opts:   opts,
-		pl:     newPipeline(opts),
-		rg:     rg,
-		params: rrt.Params{Nodes: opts.NodesPerRegion, Step: opts.Step, GoalBias: opts.GoalBias},
+		if reg := rg.Region(best); reg.HalfAngle <= bestAngle {
+			reg.HalfAngle = bestAngle + 1e-9
+		}
 	}
 	e.bis = make([]*rrt.BiTree, rg.NumRegions())
-	e.costAcc = make([]RegionCost, rg.NumRegions())
-	e.res = &RRTResult{RegionGraph: rg}
 	return e, nil
 }
 
-// Rounds returns the number of committed growth rounds.
-func (e *RRTConnectEngine) Rounds() int { return e.round }
-
-// Result returns the cumulative result of all committed rounds. The
-// returned value is immutable: Branches are freshly merged per round, so
-// holding a result (or a snapshot built from it) is safe while the
-// engine keeps growing.
-func (e *RRTConnectEngine) Result() *RRTResult { return e.res }
-
-// GrowRound runs one pipeline pass: every unmet region's tree pair grows
-// toward a cumulative node target (met pairs are no-ops), then adjacent
-// regions' merged branches attempt cross-region bridges. Cancellation
-// semantics match RRTEngine.GrowRound: on a fired stop channel the
-// round's partial buffers are discarded and ErrStopped returned.
-func (e *RRTConnectEngine) GrowRound(stop <-chan struct{}) error {
-	opts := e.opts
-	pl := e.pl
-	rg := e.rg
-	n := rg.NumRegions()
-	round := e.round
-
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	ownerMark := append([]int(nil), rg.Owner...)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		copy(rg.Owner, ownerMark)
-		return ErrStopped
+// growPair grows a round-local copy of region i's committed tree pair;
+// before the region's first committed round it roots a fresh pair,
+// consuming the round's stream exactly like the one-shot planner. The
+// branch is the merged, root-anchored view: an unmet goal-side tree is
+// left out (its nodes cannot reach the root) but keeps growing next
+// round.
+func (e *TreeEngine) growPair(i int, params rrt.Params, r *rng.Stream) treeStep {
+	reg := e.rg.Region(i)
+	var bi *rrt.BiTree
+	var rootWork cspace.Counters
+	if e.bis[i] != nil {
+		bi = e.bis[i].Copy()
+	} else {
+		bi, rootWork = rrt.NewBiTree(e.s, reg, e.goal, r)
 	}
-
-	var phases PhaseBreakdown
-	if round == 0 {
-		phases.Setup = pl.barrier()
+	res := rrt.GrowBiTree(e.s, reg, bi, params, r)
+	res.Work.Add(rootWork)
+	return treeStep{
+		branch: rrt.MergeBiTree(res.Bi),
+		nodes:  bi.Len(),
+		work:   res.Work,
+		commit: func() { e.bis[i] = res.Bi },
 	}
+}
 
-	// --- Weight phase with the k-ray estimate (round 0 only), exactly as
-	// in RRTEngine: the probe is a static workspace property.
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1
+// prunePair repairs a round-local copy of region i's tree pair: both
+// trees prune and regraft like plain branches and the met state is
+// re-derived. The remap translates the trees' own remaps into merged
+// branch ids: A nodes keep their (compacted) ids; B nodes follow at
+// offset len(A) and survive only while the pair stays met.
+func (e *TreeEngine) prunePair(i int, s *cspace.Space, dc *cspace.DeltaChecker) treeStep {
+	old := e.bis[i]
+	if old == nil {
+		return treeStep{}
 	}
-	migrated := 0
-	if round == 0 {
-		if e.s.Dim() == e.s.Env.Dim() {
-			weights = repart.KRayWeights(e.s.Env, rg, opts.KRays, opts.Seed)
-		}
-		if err := rg.SetWeights(weights); err != nil {
-			return err
-		}
-		e.res.CVBefore = metrics.CV(rg.LoadPerProcessor(opts.Procs))
-		if opts.Strategy == Repartition {
-			rayCost := float64(opts.KRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
-			rayRep := pl.replay(phaseSpec{
-				name: "weight",
-				queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
-					return costTask(i, rayCost)
-				}),
-			})
-			phases.Redistribution = rayRep.Makespan + pl.barrier()
-			var cost float64
-			migrated, cost = pl.rebalance(rg, weights, nil)
-			phases.Redistribution += cost
+	oldLenA := old.A.Len()
+	oldMerged := oldLenA
+	if old.Met && old.B != nil {
+		oldMerged += old.B.Len()
+	}
+	bi := old.Copy()
+	remapA, remapB, st := rrt.PruneBiTree(s, dc, bi, repairGraftK)
+	remap := make([]int, oldMerged)
+	copy(remap, remapA)
+	for j := oldLenA; j < oldMerged; j++ {
+		if bj := j - oldLenA; bi.Met && remapB[bj] >= 0 {
+			remap[j] = bi.A.Len() + remapB[bj]
+		} else {
+			remap[j] = -1
 		}
 	}
-	// Observed cost model: warm rounds re-weigh on measured pair-growth
-	// costs and re-repartition every round, exactly as in RRTEngine.
-	if round > 0 && opts.CostModel == CostObserved {
-		weights = pl.roundWeights(weights, nil)
-		if err := rg.SetWeights(weights); err != nil {
-			return err
-		}
-		if opts.Strategy == Repartition {
-			var cost float64
-			migrated, cost = pl.rebalance(rg, weights, e.nodeCounts())
-			if migrated > 0 {
-				phases.Redistribution = cost + pl.barrier()
-			}
-		}
+	return treeStep{
+		branch: rrt.MergeBiTree(bi),
+		nodes:  bi.Len(),
+		remap:  remap,
+		prune:  st,
+		commit: func() { e.bis[i] = bi },
 	}
-	if sched.Canceled(stop) {
-		return abort()
-	}
+}
 
-	// --- Tree-pair growth phase (expensive; stealable). Round 0 roots
-	// each pair (consuming the region's stream before growth, so the
-	// one-shot planner and the engine agree); later rounds grow a
-	// round-local copy of the committed pair, so an aborted round leaves
-	// committed state untouched.
-	targetNodes := (round + 1) * opts.NodesPerRegion
-	params := e.params
-	params.Nodes = targetNodes
-	results := make([]rrt.BiResult, n)
-	constructQueues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
-		return work.Task{
-			ID: i,
-			Run: func() (float64, int) {
-				r := rng.Derive(opts.Seed, roundSalt(round, i))
-				bi := e.roundBiTree(i)
-				var rootWork cspace.Counters
-				if bi == nil {
-					bi, rootWork = rrt.NewBiTree(e.s, rg.Region(i), e.goal, r)
-				}
-				results[i] = rrt.GrowBiTree(e.s, rg.Region(i), bi, params, r)
-				results[i].Work.Add(rootWork)
-				return opts.Cost.Time(results[i].Work), bi.Len()
-			},
-		}
-	})
-	diffused, diffuseCost := pl.diffuse(rg, constructQueues, weights, e.nodeCounts())
-	phases.Redistribution += diffuseCost
-	report := pl.run(phaseSpec{
-		name:   "construct",
-		queues: constructQueues,
-		policy: pl.stealPolicy(),
-		salt:   saltConnectConstruct,
-	})
-	if report.Stopped || sched.Canceled(stop) {
-		return abort()
-	}
-	phases.NodeConnection = report.Makespan + pl.barrier()
-	pl.applyOwnership(rg, report)
-
-	weightCorr := e.res.WeightActualCorr
-	if opts.Strategy == Repartition && (round == 0 || opts.CostModel == CostObserved) {
-		costs := make([]float64, n)
-		for i := 0; i < n; i++ {
-			costs[i] = report.Cost[i]
-		}
-		weightCorr = metrics.Pearson(weights, costs)
-	}
-
-	// --- Branch connection phase over the merged, root-anchored
-	// branches. Unmet goal-side trees are excluded (their nodes cannot
-	// reach the root), but stay in the engine to keep growing next round.
-	branches := make([]*rrt.Tree, n)
-	for i := 0; i < n; i++ {
-		branches[i] = rrt.MergeBiTree(results[i].Bi)
-	}
-	conn := runBranchConnect(pl, rg, e.s, opts, branches, e.bridges, stop)
-	if conn.stopped {
-		return abort()
-	}
-	phases.RegionConnection = conn.makespan + pl.barrier()
-	phases.Other = pl.barrier()
-
-	// --- Commit.
-	for i := 0; i < n; i++ {
-		e.bis[i] = results[i].Bi
-	}
-	e.bridges = append(e.bridges, conn.newBridges...)
-	e.prunedCycles += conn.newPruned
-	pl.observeConstruct(n, report, nil)
-	accumulateRegionCosts(e.costAcc, report)
-	e.round++
-
-	prev := e.res
-	res := &RRTResult{
-		Branches:         branches,
-		Bridges:          e.bridges,
-		PrunedCycles:     e.prunedCycles,
-		RegionGraph:      rg,
-		ProcStats:        report.Workers,
-		PhaseReports:     pl.reports,
-		EdgeCut:          rg.EdgeCut(),
-		RegionRemote:     prev.RegionRemote + conn.regionRemote,
-		MigratedRegions:  prev.MigratedRegions + migrated,
-		DiffusedRegions:  prev.DiffusedRegions + diffused,
-		RegionCosts:      append([]RegionCost(nil), e.costAcc...),
-		Repairs:          e.repairAcc,
-		CVBefore:         prev.CVBefore,
-		WeightActualCorr: weightCorr,
-	}
-	for i := 0; i < n; i++ {
-		bi := e.bis[i]
+// metSummary counts the met tree pairs and reports whether the pair
+// rooted exactly at the goal is among them (zero for the single-tree
+// variants). Re-derived on every commit: a repair can un-meet the goal
+// region's pair, flipping GoalConnected back off.
+func (e *TreeEngine) metSummary() (met int, goalConnected bool) {
+	for _, bi := range e.bis {
 		if bi == nil || !bi.Met {
 			continue
 		}
-		res.TreesMet++
+		met++
 		if bi.B != nil && bi.B.Nodes[0].Q.Equal(e.goal, 0) {
-			res.GoalConnected = true
+			goalConnected = true
 		}
 	}
-	res.Phases = prev.Phases
-	res.Phases.Setup += phases.Setup
-	res.Phases.Redistribution += phases.Redistribution
-	res.Phases.NodeConnection += phases.NodeConnection
-	res.Phases.RegionConnection += phases.RegionConnection
-	res.Phases.Other += phases.Other
-	res.TotalTime = res.Phases.Total()
-	res.NodeLoads = make([]float64, opts.Procs)
-	for i := 0; i < n; i++ {
-		res.NodeLoads[rg.Owner[i]] += float64(branches[i].Len())
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = res
-	return nil
-}
-
-// nodeCounts returns the committed tree-pair size per region — the
-// per-vertex migration payload when repartitioning or diffusing between
-// rounds (nil pairs, i.e. before round 0 commits, count zero).
-func (e *RRTConnectEngine) nodeCounts() []int {
-	counts := make([]int, len(e.bis))
-	for i, bi := range e.bis {
-		if bi != nil {
-			counts[i] = bi.Len()
-		}
-	}
-	return counts
-}
-
-// roundBiTree returns a round-local deep copy of region i's committed
-// tree pair, or nil before the region's first committed round (the
-// growth task then roots a fresh pair, consuming the round's stream
-// exactly like the one-shot planner).
-func (e *RRTConnectEngine) roundBiTree(i int) *rrt.BiTree {
-	if e.bis[i] == nil {
-		return nil
-	}
-	return e.bis[i].Copy()
+	return met, goalConnected
 }
 
 // ParallelRRTConnect runs the radial-subdivision parallel RRT-Connect
 // rooted at root, with every region's goal-side tree anchored toward
 // goal (exactly at goal for the region containing it). It is exactly one
-// growth round of an RRTConnectEngine; long-lived callers that want to
-// keep extending the same pairs (or cancel mid-build) should construct
-// the engine directly.
+// growth round of NewRRTConnectEngine's engine; long-lived callers that
+// want to keep extending the same pairs (or cancel mid-build) should
+// construct the engine directly.
 func ParallelRRTConnect(s *cspace.Space, root, goal cspace.Config, opts Options) (*RRTResult, error) {
 	eng, err := NewRRTConnectEngine(s, root, goal, opts)
 	if err != nil {

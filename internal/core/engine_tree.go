@@ -1,0 +1,554 @@
+package core
+
+import (
+	"parmp/internal/cspace"
+	"parmp/internal/env"
+	"parmp/internal/metrics"
+	"parmp/internal/region"
+	"parmp/internal/repart"
+	"parmp/internal/rng"
+	"parmp/internal/rrt"
+	"parmp/internal/sched"
+	"parmp/internal/work"
+)
+
+// TreeEngine grows the radial-subdivision parallel tree planners
+// incrementally. Every GrowRound runs the paper's Algorithm 2 pipeline —
+// k-ray weight, repartition, stealable region growth, then branch
+// connection with cycle pruning — over the same region graph, cone
+// geometry and ownership state. Only the region growth task depends on
+// the growth variant:
+//
+//   - plain RRT extends one branch per cone (NewRRTEngine);
+//   - RRT* extends it with choose-parent and rewiring (Options.Star);
+//   - RRT-Connect grows a root-side and a goal-side tree per cone that
+//     greedily connect; a met pair's merged, root-anchored branch joins
+//     the branch connection like any other (NewRRTConnectEngine).
+//
+// The one-shot ParallelRRT and ParallelRRTConnect are exactly one round.
+//
+// A TreeEngine is not safe for concurrent use; the serving layer
+// (package parmp) serializes growth and publishes immutable snapshots.
+type TreeEngine struct {
+	s      *cspace.Space
+	root   cspace.Config
+	goal   cspace.Config // RRT-Connect's goal; nil selects a single-tree variant
+	opts   Options
+	pl     *pipeline
+	rg     *region.Graph
+	params rrt.Params
+	// salt seeds the construct phase's victim randomization; each variant
+	// keeps its own so the virtual times match the one-shot planners.
+	salt uint64
+
+	// Committed growth state, one slot per region (nil until the
+	// region's first committed round). Only the variant's slice is used.
+	trees     []*rrt.Tree     // plain RRT
+	starTrees []*rrt.StarTree // RRT*
+	bis       []*rrt.BiTree   // RRT-Connect tree pairs
+	// nodes[i] is region i's committed node count (both trees of an
+	// RRT-Connect pair) — the per-vertex migration payload.
+	nodes []int
+	// bridges and prunedCycles accumulate the committed branch
+	// connections; the per-round union-find is rebuilt from bridges.
+	bridges      [][4]int
+	prunedCycles int
+	// costAcc accumulates the bounded per-region construct-cost summary
+	// across committed rounds (published as Result().RegionCosts).
+	costAcc []RegionCost
+	// repairAcc accumulates committed ApplyDelta repair stats.
+	repairAcc RepairStats
+
+	res   *RRTResult // last committed cumulative result
+	round int
+}
+
+// NewRRTEngine validates opts and builds the radial subdivision about
+// root for plain RRT, or RRT* when opts.Star is set. No planning work
+// happens until GrowRound.
+func NewRRTEngine(s *cspace.Space, root cspace.Config, opts Options) (*TreeEngine, error) {
+	e, err := newTreeEngine(s, root, opts, saltRRTConstruct)
+	if err != nil {
+		return nil, err
+	}
+	if e.opts.Star {
+		e.starTrees = make([]*rrt.StarTree, e.rg.NumRegions())
+	} else {
+		e.trees = make([]*rrt.Tree, e.rg.NumRegions())
+	}
+	return e, nil
+}
+
+// newTreeEngine is the variant-independent part of the constructors.
+func newTreeEngine(s *cspace.Space, root cspace.Config, opts Options, salt uint64) (*TreeEngine, error) {
+	opts = opts.Defaults()
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	apex := root.Clone()
+	setupRNG := rng.Derive(opts.Seed, 0xabcdef)
+	rg := region.RadialSubdivision(apex, region.RadialSpec{
+		Regions:      opts.Regions,
+		K:            opts.RegionK,
+		Radius:       opts.Radius,
+		OverlapAngle: opts.Overlap,
+	}, setupRNG)
+	// The naive mapping groups spatially adjacent cones on the same
+	// processor (contiguous blocks of a BFS sweep over the region graph),
+	// mirroring the paper's mesh-aligned distribution.
+	assignContiguous(rg, opts.Procs)
+	n := rg.NumRegions()
+	return &TreeEngine{
+		s:       s,
+		root:    apex,
+		opts:    opts,
+		pl:      newPipeline(opts),
+		rg:      rg,
+		params:  rrt.Params{Nodes: opts.NodesPerRegion, Step: opts.Step, GoalBias: opts.GoalBias},
+		salt:    salt,
+		nodes:   make([]int, n),
+		costAcc: make([]RegionCost, n),
+		res:     &RRTResult{RegionGraph: rg},
+	}, nil
+}
+
+// Rounds returns the number of committed growth rounds.
+func (e *TreeEngine) Rounds() int { return e.round }
+
+// Result returns the cumulative result of all committed rounds. The
+// returned value is immutable — Branches are per-round copies, so
+// holding a result (or a snapshot built from it) is safe while the
+// engine keeps growing and RRT* rewiring keeps mutating parents.
+func (e *TreeEngine) Result() *RRTResult { return e.res }
+
+// treeStep is one region's round-local product of growth or repair,
+// produced by the variant's task and committed only when the whole pass
+// completes.
+type treeStep struct {
+	branch  *rrt.Tree // root-anchored view: what bridges join and snapshots index
+	nodes   int       // the variant's node count
+	work    cspace.Counters
+	rewires int            // RRT* parent improvements
+	remap   []int          // repair: old → new branch ids (-1 = pruned)
+	prune   rrt.PruneStats // repair only
+	commit  func()         // installs the round-local state as committed
+}
+
+// growRegion grows a round-local copy of region i's committed state
+// toward params.Nodes with the round's stream r.
+func (e *TreeEngine) growRegion(i int, params rrt.Params, r *rng.Stream) treeStep {
+	reg := e.rg.Region(i)
+	switch {
+	case e.goal != nil:
+		return e.growPair(i, params, r)
+	case e.opts.Star:
+		tree := &rrt.StarTree{Nodes: []rrt.Node{{Q: reg.Apex.Clone(), Parent: -1, Region: reg.ID}}, Cost: []float64{0}}
+		if old := e.starTrees[i]; old != nil {
+			tree = copyStarTree(old)
+		}
+		res := rrt.GrowStarTree(e.s, reg, tree, rrt.StarParams{Params: params, RewireRadius: e.opts.RewireRadius}, r)
+		return treeStep{
+			branch:  &rrt.Tree{Nodes: res.Tree.Nodes},
+			nodes:   res.Tree.Len(),
+			work:    res.Work,
+			rewires: res.Rewires,
+			commit:  func() { e.starTrees[i] = res.Tree },
+		}
+	default:
+		tree := rrt.NewTree(reg.Apex, reg.ID)
+		if old := e.trees[i]; old != nil {
+			tree = &rrt.Tree{Nodes: append([]rrt.Node(nil), old.Nodes...)}
+		}
+		res := rrt.GrowTree(e.s, reg, tree, params, r)
+		return treeStep{
+			branch: res.Tree,
+			nodes:  res.Tree.Len(),
+			work:   res.Work,
+			commit: func() { e.trees[i] = res.Tree },
+		}
+	}
+}
+
+// pruneRegion repairs a round-local copy of region i's committed state
+// against dc in the mutated space s. A region with no committed state
+// yet yields the zero step: no work, nothing to commit.
+func (e *TreeEngine) pruneRegion(i int, s *cspace.Space, dc *cspace.DeltaChecker) (step treeStep) {
+	switch {
+	case e.goal != nil:
+		return e.prunePair(i, s, dc)
+	case e.opts.Star:
+		if e.starTrees[i] == nil {
+			return step
+		}
+		star := copyStarTree(e.starTrees[i])
+		view := &rrt.Tree{Nodes: star.Nodes}
+		step.remap, step.prune = rrt.PruneTree(s, dc, view, repairGraftK)
+		star.Nodes = view.Nodes
+		star.Cost = recomputeStarCosts(s, star, star.Cost[:0])
+		step.branch = &rrt.Tree{Nodes: star.Nodes}
+		step.commit = func() { e.starTrees[i] = star }
+	default:
+		if e.trees[i] == nil {
+			return step
+		}
+		t := &rrt.Tree{Nodes: append([]rrt.Node(nil), e.trees[i].Nodes...)}
+		step.remap, step.prune = rrt.PruneTree(s, dc, t, repairGraftK)
+		step.branch = t
+		step.commit = func() { e.trees[i] = t }
+	}
+	step.nodes = step.branch.Len()
+	return step
+}
+
+// copyStarTree returns a round-local deep copy of an RRT* branch, so an
+// aborted pass never mutates committed state shared with published
+// results.
+func copyStarTree(t *rrt.StarTree) *rrt.StarTree {
+	return &rrt.StarTree{
+		Nodes: append([]rrt.Node(nil), t.Nodes...),
+		Cost:  append([]float64(nil), t.Cost...),
+	}
+}
+
+// recomputeStarCosts rebuilds an RRT* branch's cost-to-root vector by a
+// forward pass (parents precede children), which also prices any
+// regrafted edges.
+func recomputeStarCosts(s *cspace.Space, t *rrt.StarTree, costs []float64) []float64 {
+	for _, nd := range t.Nodes {
+		if nd.Parent < 0 {
+			costs = append(costs, 0)
+			continue
+		}
+		costs = append(costs, costs[nd.Parent]+s.Distance(t.Nodes[nd.Parent].Q, nd.Q))
+	}
+	return costs
+}
+
+// GrowRound runs one pipeline pass, growing every region toward a
+// cumulative target of (round+1)·NodesPerRegion nodes and attempting
+// cross-region connections for still-disconnected adjacent pairs.
+// Cancellation semantics match PRMEngine.GrowRound: on a fired stop
+// channel the round's partial buffers are discarded and ErrStopped
+// returned.
+func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
+	opts := e.opts
+	pl := e.pl
+	rg := e.rg
+	n := rg.NumRegions()
+	round := e.round
+	prev := e.res
+
+	rb := pl.begin(stop, rg.Owner)
+	defer rb.end()
+
+	var phases PhaseBreakdown
+	if round == 0 {
+		phases.Setup = pl.barrier()
+	}
+
+	// --- Weight phase with the k-ray estimate (round 0 only: the probe
+	// is a static workspace property, so later rounds reuse the
+	// partition it produced).
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = 1
+	}
+	migrated := 0
+	cvBefore := prev.CVBefore
+	if round == 0 {
+		if e.s.Dim() == e.s.Env.Dim() {
+			weights = repart.KRayWeights(e.s.Env, rg, opts.KRays, opts.Seed)
+		}
+		if err := rg.SetWeights(weights); err != nil {
+			return err
+		}
+		cvBefore = metrics.CV(rg.LoadPerProcessor(opts.Procs))
+		if opts.Strategy == Repartition {
+			// The weight pass itself costs k rays per region on the owner.
+			rayCost := float64(opts.KRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
+			rayRep := pl.replay(phaseSpec{
+				name: "weight",
+				queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
+					return costTask(i, rayCost)
+				}),
+			})
+			phases.Redistribution = rayRep.Makespan + pl.barrier()
+			// Note: unlike PRM there is no balanced-already escape hatch
+			// here — the k-ray estimate CLAIMS imbalance whether or not it
+			// is real, which is the paper's point. Migration proceeds
+			// whenever the estimated loads look improvable.
+			var cost float64
+			migrated, cost = pl.rebalance(rg, weights, nil)
+			phases.Redistribution += cost
+		}
+	}
+	// Under the observed cost model, later rounds re-weigh on the EWMA of
+	// measured growth costs and — unlike the static k-ray setup, which
+	// repartitions only once — re-repartition every round: region costs
+	// are temporally autocorrelated, so last rounds' measurements are the
+	// good estimator the k-ray probe is not.
+	if round > 0 && opts.CostModel == CostObserved {
+		weights = pl.roundWeights(weights, nil)
+		if err := rg.SetWeights(weights); err != nil {
+			return err
+		}
+		if opts.Strategy == Repartition {
+			var cost float64
+			migrated, cost = pl.rebalance(rg, weights, e.nodes)
+			if migrated > 0 {
+				phases.Redistribution = cost + pl.barrier()
+			}
+		}
+	}
+	if sched.Canceled(stop) {
+		return rb.abort()
+	}
+
+	// --- Region growth phase (expensive; stealable). Each region grows
+	// a round-local copy of its committed state, so an aborted round
+	// leaves it untouched.
+	params := e.params
+	params.Nodes = (round + 1) * opts.NodesPerRegion
+	steps := make([]treeStep, n)
+	constructQueues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
+		return work.Task{
+			ID: i,
+			Run: func() (float64, int) {
+				steps[i] = e.growRegion(i, params, rng.Derive(opts.Seed, roundSalt(round, i)))
+				return opts.Cost.Time(steps[i].work), steps[i].nodes
+			},
+		}
+	})
+	diffused, diffuseCost := pl.diffuse(rg, constructQueues, weights, e.nodes)
+	phases.Redistribution += diffuseCost
+	report := pl.run(phaseSpec{
+		name:   "construct",
+		queues: constructQueues,
+		policy: pl.stealPolicy(),
+		salt:   e.salt,
+	})
+	if report.Stopped || sched.Canceled(stop) {
+		return rb.abort()
+	}
+	phases.NodeConnection = report.Makespan + pl.barrier()
+	pl.applyOwnership(rg, report)
+
+	// Correlation between weight estimate and measured cost: round 0
+	// (where the static estimate was computed), and every warm round
+	// under the observed model (whose whole point is that this
+	// correlation is high where the k-ray probe's is not).
+	weightCorr := prev.WeightActualCorr
+	if opts.Strategy == Repartition && (round == 0 || opts.CostModel == CostObserved) {
+		costs := make([]float64, n)
+		for i := 0; i < n; i++ {
+			costs[i] = report.Cost[i]
+		}
+		weightCorr = metrics.Pearson(weights, costs)
+	}
+
+	// --- Branch connection phase with cycle pruning.
+	branches := make([]*rrt.Tree, n)
+	for i := 0; i < n; i++ {
+		branches[i] = steps[i].branch
+	}
+	conn := runBranchConnect(pl, rg, e.s, opts, branches, e.bridges, stop)
+	if conn.stopped {
+		return rb.abort()
+	}
+	phases.RegionConnection = conn.makespan + pl.barrier()
+	phases.Other = pl.barrier()
+
+	// --- Commit.
+	rewires := 0
+	for i := 0; i < n; i++ {
+		steps[i].commit()
+		e.nodes[i] = steps[i].nodes
+		rewires += steps[i].rewires
+	}
+	e.bridges = append(e.bridges, conn.newBridges...)
+	e.prunedCycles += conn.newPruned
+	pl.observeConstruct(n, report, nil)
+	accumulateRegionCosts(e.costAcc, report)
+	e.round++
+
+	res := &RRTResult{
+		RegionGraph:      rg,
+		Phases:           prev.Phases,
+		ProcStats:        report.Workers,
+		EdgeCut:          rg.EdgeCut(),
+		RegionRemote:     prev.RegionRemote + conn.regionRemote,
+		MigratedRegions:  prev.MigratedRegions + migrated,
+		DiffusedRegions:  prev.DiffusedRegions + diffused,
+		RegionCosts:      append([]RegionCost(nil), e.costAcc...),
+		CVBefore:         cvBefore,
+		Rewires:          prev.Rewires + rewires,
+		WeightActualCorr: weightCorr,
+	}
+	res.Phases.add(phases)
+	e.publish(res, branches)
+	return nil
+}
+
+// publish completes res from the engine's committed state — branches,
+// bridges, repair totals, node loads and the RRT-Connect met summary —
+// and installs it as the engine's result.
+func (e *TreeEngine) publish(res *RRTResult, branches []*rrt.Tree) {
+	res.Branches = branches
+	res.Bridges = e.bridges
+	res.PrunedCycles = e.prunedCycles
+	res.PhaseReports = e.pl.reports
+	res.Repairs = e.repairAcc
+	res.TotalTime = res.Phases.Total()
+	res.NodeLoads = make([]float64, e.opts.Procs)
+	for i, t := range branches {
+		if t != nil {
+			res.NodeLoads[e.rg.Owner[i]] += float64(t.Len())
+		}
+	}
+	res.CVAfter = metrics.CV(res.NodeLoads)
+	res.TreesMet, res.GoalConnected = e.metSummary()
+	e.res = res
+}
+
+// ApplyDelta incrementally repairs the engine's committed state against
+// an environment mutation, between growth rounds: every region prunes
+// the nodes and edges the delta blocked (severed subtrees regraft to
+// surviving neighbours where a fresh local plan allows; an RRT-Connect
+// pair whose meeting node died un-meets and resumes growing next round),
+// and cross-region bridges whose endpoint died or whose edge is now
+// blocked are dropped. Contracts (s, conservative culling, pipeline
+// accounting, cancellation) match PRMEngine.ApplyDelta. The returned
+// BranchRemaps are in root-anchored branch ids — what snapshot tree
+// indexes reference.
+//
+// Under the observed cost model the repair phase's measured costs feed
+// the same per-region EWMA as construction, so the next round's
+// repartition sees the mutation's load concentration.
+func (e *TreeEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (*RRTRepair, error) {
+	pl := e.pl
+	rg := e.rg
+	n := rg.NumRegions()
+
+	rb := pl.begin(stop, nil)
+	defer rb.end()
+
+	out := &RRTRepair{Stats: RepairStats{Deltas: 1}}
+	dc := cspace.NewDeltaChecker(e.s, d)
+	if !dc.Invalidating() {
+		e.s = s
+		e.commitRepair(out.Stats, e.res.Branches)
+		return out, nil
+	}
+
+	// --- Prune phase (stealable, region-tagged) over round-local copies.
+	steps := make([]treeStep, n)
+	queues := queuesByOwner(e.opts.Procs, rg.Owner, n, func(i int) work.Task {
+		return work.Task{
+			ID:      i,
+			Payload: e.nodes[i],
+			Run: func() (float64, int) {
+				steps[i] = e.pruneRegion(i, s, dc)
+				return e.opts.Cost.Time(steps[i].prune.Work), steps[i].nodes
+			},
+		}
+	})
+	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
+	if report.Stopped || sched.Canceled(stop) {
+		return nil, rb.abort()
+	}
+	makespan := report.Makespan + pl.barrier()
+
+	branches := make([]*rrt.Tree, n)
+	remaps := make([][]int, n)
+	for i := 0; i < n; i++ {
+		branches[i], remaps[i] = steps[i].branch, steps[i].remap
+	}
+	newBridges, removed, bridgeMakespan, stopped := repairBridgeSet(pl, rg.Owner, e.opts, dc, e.bridges, branches, remaps, &out.Stats)
+	if stopped {
+		return nil, rb.abort()
+	}
+	makespan += bridgeMakespan
+
+	// --- Commit.
+	st := &out.Stats
+	st.Makespan = makespan
+	for i := 0; i < n; i++ {
+		ps := steps[i].prune
+		st.CheckedNodes += ps.CheckedNodes
+		st.CheckedEdges += ps.CheckedEdges
+		st.RemovedNodes += ps.Removed
+		st.Grafted += ps.Grafted
+		st.Work.Add(ps.Work)
+		if steps[i].commit != nil {
+			steps[i].commit()
+			e.nodes[i] = steps[i].nodes
+		}
+	}
+	out.BranchRemaps = remaps
+	out.RemovedBridges = removed
+	st.RemovedEdges += removed
+	e.bridges = newBridges
+	pl.observeConstruct(n, report, nil)
+	e.s = s
+	e.commitRepair(out.Stats, branches)
+	return out, nil
+}
+
+// commitRepair folds one repair's stats into the engine accumulator and
+// publishes a fresh result over the repaired branches.
+func (e *TreeEngine) commitRepair(st RepairStats, branches []*rrt.Tree) {
+	e.repairAcc.Add(st)
+	res := *e.res
+	res.Phases.Repair += st.Makespan
+	e.publish(&res, branches)
+}
+
+// repairBridgeSet re-validates the committed cross-region bridges
+// against the delta using the repaired branches: a bridge survives when
+// both endpoints survived and its edge is still free. The per-bridge
+// checks run as a priced accounting phase on each bridge's owning
+// processor. remaps[i] == nil means region i's branch is unchanged.
+func repairBridgeSet(pl *pipeline, owner []int, opts Options, dc *cspace.DeltaChecker,
+	bridges [][4]int, branches []*rrt.Tree, remaps [][]int, st *RepairStats) (kept [][4]int, removed int, makespan float64, stopped bool) {
+
+	mapIdx := func(remap []int, idx int) int {
+		if remap == nil {
+			return idx
+		}
+		if idx >= len(remap) {
+			return -1
+		}
+		return remap[idx]
+	}
+	costs := make([]float64, len(bridges))
+	for bi, br := range bridges {
+		a, b := br[0], br[2]
+		na, nb := mapIdx(remaps[a], br[1]), mapIdx(remaps[b], br[3])
+		if na < 0 || nb < 0 || branches[a] == nil || branches[b] == nil {
+			removed++
+			continue
+		}
+		qa, qb := branches[a].Nodes[na].Q, branches[b].Nodes[nb].Q
+		if dc.EdgeAffected(qa, qb) {
+			st.CheckedEdges++
+			var c cspace.Counters
+			ok := dc.EdgeStillFree(qa, qb, &c)
+			costs[bi] = opts.Cost.Time(c)
+			st.Work.Add(c)
+			if !ok {
+				removed++
+				continue
+			}
+		}
+		kept = append(kept, [4]int{a, na, b, nb})
+	}
+	queues := make([][]work.Task, opts.Procs)
+	for bi, br := range bridges {
+		queues[owner[br[0]]] = append(queues[owner[br[0]]], costTask(bi, costs[bi]))
+	}
+	rep := pl.replay(phaseSpec{name: "repair-bridges", queues: queues})
+	if rep.Stopped {
+		return nil, 0, 0, true
+	}
+	return kept, removed, rep.Makespan + pl.barrier(), false
+}

@@ -11,6 +11,13 @@
 //	RRT:  radial subdivide → [k-ray weight → repartition] →
 //	      branch growth (stealable) → branch connection → merge
 //
+// PRMEngine and TreeEngine run these pipelines incrementally, one round
+// per GrowRound, and repair their committed state after an environment
+// mutation (ApplyDelta). TreeEngine is the single tree planner: its
+// growth variants — plain RRT, RRT* and RRT-Connect — differ only in
+// what a region task grows, so weighting, balancing, branch connection,
+// commit and repair exist once for all three.
+//
 // The expensive phases run on a simulated distributed machine
 // (internal/dist) in virtual time, with every region task charged the
 // work the sequential planner actually performed, so strong-scaling
@@ -308,6 +315,17 @@ type PhaseBreakdown struct {
 	RegionConnection float64 // cross-region connection
 	Repair           float64 // incremental revalidation after ApplyDelta
 	Other            float64 // barriers and merge
+}
+
+// add folds one pass's phase times into a cumulative breakdown.
+func (p *PhaseBreakdown) add(q PhaseBreakdown) {
+	p.Setup += q.Setup
+	p.Sampling += q.Sampling
+	p.Redistribution += q.Redistribution
+	p.NodeConnection += q.NodeConnection
+	p.RegionConnection += q.RegionConnection
+	p.Repair += q.Repair
+	p.Other += q.Other
 }
 
 // Total sums all phases.

@@ -90,6 +90,38 @@ func newPipeline(opts Options) *pipeline {
 	return &pipeline{opts: opts, vt: vt, host: exec.Runtime}
 }
 
+// rollback is the undo point of one cancellable engine pass (a growth
+// round or a repair): the phase-report log length and, for passes that
+// move regions, the ownership at the start.
+type rollback struct {
+	pl      *pipeline
+	reports int
+	owner   []int // live ownership to restore; nil when the pass moves none
+	saved   []int
+}
+
+// begin arms the pipeline with stop for one pass and records its undo
+// point. Callers defer end.
+func (pl *pipeline) begin(stop <-chan struct{}, owner []int) rollback {
+	pl.stop = stop
+	rb := rollback{pl: pl, reports: len(pl.reports)}
+	if owner != nil {
+		rb.owner, rb.saved = owner, append([]int(nil), owner...)
+	}
+	return rb
+}
+
+// end disarms the pass's stop channel.
+func (rb rollback) end() { rb.pl.stop = nil }
+
+// abort discards the pass's phase reports and ownership moves and
+// returns ErrStopped: the engine stays on its last committed state.
+func (rb rollback) abort() error {
+	rb.pl.reports = rb.pl.reports[:rb.reports]
+	copy(rb.owner, rb.saved)
+	return ErrStopped
+}
+
 // hostPhaseObserver, when non-nil, receives each phase's host pre-pass
 // report. Test hook only.
 var hostPhaseObserver func(phase string, rep sched.Report)

@@ -7,7 +7,6 @@ import (
 	"parmp/internal/env"
 	"parmp/internal/metrics"
 	"parmp/internal/prm"
-	"parmp/internal/rrt"
 	"parmp/internal/sched"
 	"parmp/internal/work"
 )
@@ -67,9 +66,9 @@ type PRMRepair struct {
 type RRTRepair struct {
 	Stats RepairStats
 	// BranchRemaps[i] maps region i's pre-repair branch node ids to
-	// post-repair ids (-1 = pruned). For the RRT-Connect engine the ids
-	// are into the merged, root-anchored branch (what snapshots index).
-	// A nil entry is the identity.
+	// post-repair ids (-1 = pruned). Under RRT-Connect the ids are into
+	// the merged, root-anchored branch (what snapshots index). A nil
+	// entry is the identity.
 	BranchRemaps [][]int
 	// RemovedBridges counts cross-region bridges dropped because an
 	// endpoint died or the bridging edge is now blocked.
@@ -104,13 +103,8 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	rg := e.rg
 	n := rg.NumRegions()
 
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		return ErrStopped
-	}
+	rb := pl.begin(stop, nil)
+	defer rb.end()
 
 	out := &PRMRepair{Stats: RepairStats{Deltas: 1}}
 	dc := cspace.NewDeltaChecker(e.s, d)
@@ -163,7 +157,7 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	})
 	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
 	if report.Stopped || sched.Canceled(stop) {
-		return nil, abort()
+		return nil, rb.abort()
 	}
 	makespan := report.Makespan + pl.barrier()
 
@@ -208,7 +202,7 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	}
 	pl.hostExec("repair-boundary", btasks)
 	if sched.Canceled(stop) {
-		return nil, abort()
+		return nil, rb.abort()
 	}
 	bq := make([][]work.Task, opts.Procs)
 	for idx := range e.boundary {
@@ -217,7 +211,7 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	}
 	brep := pl.replay(phaseSpec{name: "repair-boundary", queues: bq})
 	if brep.Stopped || sched.Canceled(stop) {
-		return nil, abort()
+		return nil, rb.abort()
 	}
 	makespan += brep.Makespan + pl.barrier()
 
@@ -322,378 +316,6 @@ func (e *PRMEngine) commitRepair(st RepairStats) {
 	res.NodeLoads = make([]float64, e.opts.Procs)
 	for i := 0; i < e.rg.NumRegions(); i++ {
 		res.NodeLoads[e.rg.Owner[i]] += float64(len(e.data[i].nodes))
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = &res
-}
-
-// ApplyDelta incrementally repairs the engine's committed branches
-// against an environment mutation, between growth rounds: every
-// region's tree prunes nodes and edges the delta blocked (severed
-// subtrees regraft to surviving neighbours where a fresh local plan
-// allows), and cross-region bridges whose endpoint died or whose edge
-// is now blocked are dropped. Contracts (s, candidates-free culling,
-// pipeline accounting, cancellation) match PRMEngine.ApplyDelta.
-//
-// Under the observed cost model the repair phase's measured costs feed
-// the same per-region EWMA as construction, so the next round's
-// repartition sees the mutation's load concentration.
-func (e *RRTEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (*RRTRepair, error) {
-	pl := e.pl
-	rg := e.rg
-	n := rg.NumRegions()
-
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		return ErrStopped
-	}
-
-	out := &RRTRepair{Stats: RepairStats{Deltas: 1}}
-	dc := cspace.NewDeltaChecker(e.s, d)
-	if !dc.Invalidating() {
-		e.s = s
-		e.commitRepair(out.Stats, e.committedBranches(), e.bridges)
-		return out, nil
-	}
-
-	// --- Prune phase (stealable, region-tagged): each region prunes a
-	// round-local copy, so an abort leaves committed trees untouched.
-	newTrees := make([]*rrt.Tree, n)
-	newStars := make([]*rrt.StarTree, n)
-	remaps := make([][]int, n)
-	sts := make([]rrt.PruneStats, n)
-	counts := e.nodeCounts()
-	queues := queuesByOwner(e.opts.Procs, rg.Owner, n, func(i int) work.Task {
-		return work.Task{
-			ID:      i,
-			Payload: counts[i],
-			Run: func() (float64, int) {
-				if e.opts.Star {
-					if e.starTrees[i] == nil {
-						return 0, 0
-					}
-					star := e.roundStarTree(i)
-					view := &rrt.Tree{Nodes: star.Nodes}
-					remaps[i], sts[i] = rrt.PruneTree(s, dc, view, repairGraftK)
-					star.Nodes = view.Nodes
-					star.Cost = recomputeStarCosts(s, star, star.Cost[:0])
-					newStars[i] = star
-					return e.opts.Cost.Time(sts[i].Work), star.Len()
-				}
-				if e.trees[i] == nil {
-					return 0, 0
-				}
-				t := e.roundTree(i)
-				remaps[i], sts[i] = rrt.PruneTree(s, dc, t, repairGraftK)
-				newTrees[i] = t
-				return e.opts.Cost.Time(sts[i].Work), t.Len()
-			},
-		}
-	})
-	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
-	if report.Stopped || sched.Canceled(stop) {
-		return nil, abort()
-	}
-	makespan := report.Makespan + pl.barrier()
-
-	branches := make([]*rrt.Tree, n)
-	for i := 0; i < n; i++ {
-		if e.opts.Star {
-			if newStars[i] != nil {
-				branches[i] = &rrt.Tree{Nodes: newStars[i].Nodes}
-			}
-		} else {
-			branches[i] = newTrees[i]
-		}
-	}
-	newBridges, removed, bridgeMakespan, stopped := e.repairBridges(dc, branches, remaps, &out.Stats)
-	if stopped {
-		return nil, abort()
-	}
-	makespan += bridgeMakespan
-
-	// --- Commit.
-	st := &out.Stats
-	st.Makespan = makespan
-	for i := 0; i < n; i++ {
-		st.CheckedNodes += sts[i].CheckedNodes
-		st.CheckedEdges += sts[i].CheckedEdges
-		st.RemovedNodes += sts[i].Removed
-		st.Grafted += sts[i].Grafted
-		st.Work.Add(sts[i].Work)
-		if e.opts.Star {
-			if newStars[i] != nil {
-				e.starTrees[i] = newStars[i]
-			}
-		} else if newTrees[i] != nil {
-			e.trees[i] = newTrees[i]
-		}
-	}
-	out.BranchRemaps = remaps
-	out.RemovedBridges = removed
-	st.RemovedEdges += removed
-	e.bridges = newBridges
-	pl.observeConstruct(n, report, nil)
-	e.s = s
-	e.commitRepair(out.Stats, branches, newBridges)
-	return out, nil
-}
-
-// committedBranches returns the engine's committed trees as plain
-// branches (shared node slices — the usual immutable-result contract).
-func (e *RRTEngine) committedBranches() []*rrt.Tree {
-	n := e.rg.NumRegions()
-	branches := make([]*rrt.Tree, n)
-	for i := 0; i < n; i++ {
-		if e.opts.Star {
-			if e.starTrees[i] != nil {
-				branches[i] = &rrt.Tree{Nodes: e.starTrees[i].Nodes}
-			}
-		} else {
-			branches[i] = e.trees[i]
-		}
-	}
-	return branches
-}
-
-// repairBridges re-validates the committed cross-region bridges against
-// the delta using the repaired branches: a bridge survives when both
-// endpoints survived and its edge is still free. The per-bridge checks
-// run as a priced accounting phase on each bridge's owning processor.
-func (e *RRTEngine) repairBridges(dc *cspace.DeltaChecker, branches []*rrt.Tree, remaps [][]int, st *RepairStats) (kept [][4]int, removed int, makespan float64, stopped bool) {
-	return repairBridgeSet(e.pl, e.rg.Owner, e.opts, dc, e.bridges, branches, remaps, st)
-}
-
-// repairBridgeSet is the shared bridge-repair pass for the tree
-// engines. remaps[i] == nil means region i's branch is unchanged.
-func repairBridgeSet(pl *pipeline, owner []int, opts Options, dc *cspace.DeltaChecker,
-	bridges [][4]int, branches []*rrt.Tree, remaps [][]int, st *RepairStats) (kept [][4]int, removed int, makespan float64, stopped bool) {
-
-	mapIdx := func(remap []int, idx int) int {
-		if remap == nil {
-			return idx
-		}
-		if idx >= len(remap) {
-			return -1
-		}
-		return remap[idx]
-	}
-	costs := make([]float64, len(bridges))
-	for bi, br := range bridges {
-		a, b := br[0], br[2]
-		na, nb := mapIdx(remaps[a], br[1]), mapIdx(remaps[b], br[3])
-		if na < 0 || nb < 0 || branches[a] == nil || branches[b] == nil {
-			removed++
-			continue
-		}
-		qa, qb := branches[a].Nodes[na].Q, branches[b].Nodes[nb].Q
-		if dc.EdgeAffected(qa, qb) {
-			st.CheckedEdges++
-			var c cspace.Counters
-			ok := dc.EdgeStillFree(qa, qb, &c)
-			costs[bi] = opts.Cost.Time(c)
-			st.Work.Add(c)
-			if !ok {
-				removed++
-				continue
-			}
-		}
-		kept = append(kept, [4]int{a, na, b, nb})
-	}
-	queues := make([][]work.Task, opts.Procs)
-	for bi, br := range bridges {
-		queues[owner[br[0]]] = append(queues[owner[br[0]]], costTask(bi, costs[bi]))
-	}
-	rep := pl.replay(phaseSpec{name: "repair-bridges", queues: queues})
-	if rep.Stopped {
-		return nil, 0, 0, true
-	}
-	return kept, removed, rep.Makespan + pl.barrier(), false
-}
-
-// recomputeStarCosts rebuilds an RRT* branch's cost-to-root vector by a
-// forward pass (parents precede children), which also prices any
-// regrafted edges.
-func recomputeStarCosts(s *cspace.Space, t *rrt.StarTree, costs []float64) []float64 {
-	for _, nd := range t.Nodes {
-		if nd.Parent < 0 {
-			costs = append(costs, 0)
-			continue
-		}
-		costs = append(costs, costs[nd.Parent]+s.Distance(t.Nodes[nd.Parent].Q, nd.Q))
-	}
-	return costs
-}
-
-// commitRepair publishes a fresh RRT result over the repaired branches.
-func (e *RRTEngine) commitRepair(st RepairStats, branches []*rrt.Tree, bridges [][4]int) {
-	e.repairAcc.Add(st)
-	prev := e.res
-	res := *prev
-	res.Branches = branches
-	res.Bridges = bridges
-	res.Phases.Repair += st.Makespan
-	res.TotalTime = res.Phases.Total()
-	res.PhaseReports = e.pl.reports
-	res.Repairs = e.repairAcc
-	res.NodeLoads = make([]float64, e.opts.Procs)
-	for i, t := range branches {
-		if t != nil {
-			res.NodeLoads[e.rg.Owner[i]] += float64(t.Len())
-		}
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = &res
-}
-
-// ApplyDelta incrementally repairs the engine's committed tree pairs
-// against an environment mutation: both trees of every pair prune and
-// regraft like plain RRT branches, the met state is re-derived (a pair
-// whose meeting node died un-meets and resumes growing next round), and
-// bridges between merged branches re-validate. Contracts match
-// RRTEngine.ApplyDelta. The returned BranchRemaps are in merged-branch
-// ids — what snapshot tree indexes reference.
-func (e *RRTConnectEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (*RRTRepair, error) {
-	pl := e.pl
-	rg := e.rg
-	n := rg.NumRegions()
-
-	pl.stop = stop
-	defer func() { pl.stop = nil }()
-	reportMark := len(pl.reports)
-	abort := func() error {
-		pl.reports = pl.reports[:reportMark]
-		return ErrStopped
-	}
-
-	out := &RRTRepair{Stats: RepairStats{Deltas: 1}}
-	dc := cspace.NewDeltaChecker(e.s, d)
-	if !dc.Invalidating() {
-		e.s = s
-		branches := make([]*rrt.Tree, n)
-		for i, bi := range e.bis {
-			if bi != nil {
-				branches[i] = rrt.MergeBiTree(bi)
-			}
-		}
-		e.commitRepair(out.Stats, branches, e.bridges)
-		return out, nil
-	}
-
-	// --- Prune phase over round-local pair copies.
-	newBis := make([]*rrt.BiTree, n)
-	mergedRemaps := make([][]int, n)
-	sts := make([]rrt.PruneStats, n)
-	counts := e.nodeCounts()
-	queues := queuesByOwner(e.opts.Procs, rg.Owner, n, func(i int) work.Task {
-		return work.Task{
-			ID:      i,
-			Payload: counts[i],
-			Run: func() (float64, int) {
-				old := e.bis[i]
-				if old == nil {
-					return 0, 0
-				}
-				oldLenA := old.A.Len()
-				oldMerged := oldLenA
-				if old.Met && old.B != nil {
-					oldMerged += old.B.Len()
-				}
-				bi := old.Copy()
-				remapA, remapB, st := rrt.PruneBiTree(s, dc, bi, repairGraftK)
-				sts[i] = st
-				newBis[i] = bi
-				// Translate tree-local remaps into merged-branch ids:
-				// A nodes keep their (compacted) ids; B nodes followed at
-				// offset lenA and survive only while the pair stays met.
-				mr := make([]int, oldMerged)
-				copy(mr, remapA)
-				for j := oldLenA; j < oldMerged; j++ {
-					bj := j - oldLenA
-					if bi.Met && remapB[bj] >= 0 {
-						mr[j] = bi.A.Len() + remapB[bj]
-					} else {
-						mr[j] = -1
-					}
-				}
-				mergedRemaps[i] = mr
-				return e.opts.Cost.Time(st.Work), bi.Len()
-			},
-		}
-	})
-	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
-	if report.Stopped || sched.Canceled(stop) {
-		return nil, abort()
-	}
-	makespan := report.Makespan + pl.barrier()
-
-	branches := make([]*rrt.Tree, n)
-	for i := 0; i < n; i++ {
-		if newBis[i] != nil {
-			branches[i] = rrt.MergeBiTree(newBis[i])
-		}
-	}
-	newBridges, removed, bridgeMakespan, stopped := repairBridgeSet(pl, rg.Owner, e.opts, dc, e.bridges, branches, mergedRemaps, &out.Stats)
-	if stopped {
-		return nil, abort()
-	}
-	makespan += bridgeMakespan
-
-	// --- Commit.
-	st := &out.Stats
-	st.Makespan = makespan
-	for i := 0; i < n; i++ {
-		st.CheckedNodes += sts[i].CheckedNodes
-		st.CheckedEdges += sts[i].CheckedEdges
-		st.RemovedNodes += sts[i].Removed
-		st.Grafted += sts[i].Grafted
-		st.Work.Add(sts[i].Work)
-		if newBis[i] != nil {
-			e.bis[i] = newBis[i]
-		}
-	}
-	out.BranchRemaps = mergedRemaps
-	out.RemovedBridges = removed
-	st.RemovedEdges += removed
-	e.bridges = newBridges
-	pl.observeConstruct(n, report, nil)
-	e.s = s
-	e.commitRepair(out.Stats, branches, newBridges)
-	return out, nil
-}
-
-// commitRepair publishes a fresh RRT-Connect result over the repaired
-// pairs, re-deriving the met/goal summary (a door closing can un-meet
-// the goal region's pair, flipping GoalConnected back off).
-func (e *RRTConnectEngine) commitRepair(st RepairStats, branches []*rrt.Tree, bridges [][4]int) {
-	e.repairAcc.Add(st)
-	prev := e.res
-	res := *prev
-	res.Branches = branches
-	res.Bridges = bridges
-	res.Phases.Repair += st.Makespan
-	res.TotalTime = res.Phases.Total()
-	res.PhaseReports = e.pl.reports
-	res.Repairs = e.repairAcc
-	res.TreesMet = 0
-	res.GoalConnected = false
-	for _, bi := range e.bis {
-		if bi == nil || !bi.Met {
-			continue
-		}
-		res.TreesMet++
-		if bi.B != nil && bi.B.Nodes[0].Q.Equal(e.goal, 0) {
-			res.GoalConnected = true
-		}
-	}
-	res.NodeLoads = make([]float64, e.opts.Procs)
-	for i, t := range branches {
-		if t != nil {
-			res.NodeLoads[e.rg.Owner[i]] += float64(t.Len())
-		}
 	}
 	res.CVAfter = metrics.CV(res.NodeLoads)
 	e.res = &res

@@ -75,9 +75,9 @@ func (r *RRTResult) TotalNodes() int {
 // repartition, branch growth (stealable) and branch connection all
 // execute through the runtime, sharing the PRM pipeline's skeleton.
 //
-// ParallelRRT is exactly one growth round of an RRTEngine; long-lived
-// callers that want to keep extending the same branches (or cancel
-// mid-build) should construct the engine directly.
+// ParallelRRT is exactly one growth round of NewRRTEngine's engine;
+// long-lived callers that want to keep extending the same branches (or
+// cancel mid-build) should construct the engine directly.
 func ParallelRRT(s *cspace.Space, root cspace.Config, opts Options) (*RRTResult, error) {
 	eng, err := NewRRTEngine(s, root, opts)
 	if err != nil {

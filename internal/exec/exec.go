@@ -155,6 +155,13 @@ func Run(cfg Config, queues [][]work.Task) Report {
 
 	states := make([]workerState, w)
 	var wg sync.WaitGroup
+	// Local-first start: a worker checks in on ready once it has made its
+	// first pop from its own deque, and no thief steals before every
+	// worker has checked in. Goroutines start staggered, and a phase of
+	// sub-millisecond tasks would otherwise let the first worker to run
+	// steal a peer's whole queue before that peer ever pops from it.
+	var ready sync.WaitGroup
+	ready.Add(w)
 	for id := 0; id < w; id++ {
 		id := id
 		states[id] = workerState{
@@ -171,6 +178,16 @@ func Run(cfg Config, queues [][]work.Task) Report {
 			r := rng.Derive(cfg.Seed, uint64(id)+1)
 			stealing := cfg.Policy != nil && w > 1
 			attempt := 0
+			checkedIn, gateOpen := false, false
+			checkIn := func() {
+				if !checkedIn {
+					checkedIn = true
+					ready.Done()
+				}
+			}
+			// Every exit path checks in, so no thief waits on a worker
+			// that stopped or found the work done before its first pop.
+			defer checkIn()
 			for {
 				// Cooperative cancellation: between tasks is the worker's
 				// checkpoint, so a running task finishes (its result stays
@@ -191,7 +208,9 @@ func Run(cfg Config, queues [][]work.Task) Report {
 					}
 					return
 				}
-				if q, ok := deques[id].popFront(); ok {
+				q, ok := deques[id].popFront()
+				checkIn()
+				if ok {
 					t0 := time.Now()
 					cost, payload := q.Task.Run()
 					d := time.Since(t0)
@@ -217,6 +236,13 @@ func Run(cfg Config, queues [][]work.Task) Report {
 				}
 				if !stealing {
 					return
+				}
+				if !gateOpen {
+					// Wait out the peers' first pops, then re-check: the
+					// work may have finished meanwhile.
+					ready.Wait()
+					gateOpen = true
+					continue
 				}
 				if cfg.MaxRounds > 0 && attempt >= cfg.MaxRounds {
 					// Too many failed rounds: give up, as in the

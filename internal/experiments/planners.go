@@ -32,39 +32,24 @@ type raceOutcome struct {
 // and path extraction, so the comparison isolates planner growth.
 func racePlanner(planner string, s *cspace.Space, root, goal cspace.Config, opts core.Options, maxRounds int) raceOutcome {
 	start := time.Now()
-	var grow func() (*core.RRTResult, error)
+	var eng *core.TreeEngine
+	var err error
 	switch planner {
 	case "rrt":
-		eng, err := core.NewRRTEngine(s, root, opts)
-		if err != nil {
-			panic(err)
-		}
-		grow = func() (*core.RRTResult, error) {
-			if err := eng.GrowRound(nil); err != nil {
-				return nil, err
-			}
-			return eng.Result(), nil
-		}
+		eng, err = core.NewRRTEngine(s, root, opts)
 	case "rrtconnect":
-		eng, err := core.NewRRTConnectEngine(s, root, goal, opts)
-		if err != nil {
-			panic(err)
-		}
-		grow = func() (*core.RRTResult, error) {
-			if err := eng.GrowRound(nil); err != nil {
-				return nil, err
-			}
-			return eng.Result(), nil
-		}
+		eng, err = core.NewRRTConnectEngine(s, root, goal, opts)
 	default:
 		panic(fmt.Sprintf("experiments: unknown planner %q", planner))
 	}
+	if err != nil {
+		panic(err)
+	}
 	for round := 1; round <= maxRounds; round++ {
-		res, err := grow()
-		if err != nil {
+		if err := eng.GrowRound(nil); err != nil {
 			panic(err)
 		}
-		ix := core.BuildTreeIndex(res)
+		ix := core.BuildTreeIndex(eng.Result())
 		path, ok := ix.ExtractPath(s, goal, nil)
 		if !ok {
 			continue

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +154,33 @@ func TestServePortfolioTenant(t *testing.T) {
 	st := stats[0]
 	if st.Racers != 2 || st.Winner == nil || st.Waves == 0 {
 		t.Fatalf("portfolio stats %+v: want 2 racers, a winner, and waves > 0", st)
+	}
+}
+
+// Unusable tree endpoints fail the tenant build at the service boundary
+// with a 400, instead of a tree planner growing toward them — or a
+// portfolio racing its whole wave budget — before reporting an error.
+func TestServeRejectsBadEndpoints(t *testing.T) {
+	srv := New(testConfig())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	free, far := []float64{0.05, 0.05, 0.05}, []float64{0.95, 0.95, 0.95}
+	cases := []struct {
+		name string
+		spec Spec
+	}{
+		{"root outside bounds", Spec{Env: "med-cube", Planner: "rrt", Root: []float64{1.5, 0.05, 0.05}}},
+		{"goal outside bounds", Spec{Env: "med-cube", Planner: "rrtconnect", Root: free, Goal: []float64{0.95, -0.1, 0.95}}},
+		{"goal in collision", Spec{Env: "med-cube", Portfolio: 2, Root: free, Goal: []float64{0.5, 0.5, 0.5}}},
+	}
+	for _, c := range cases {
+		var er errorResponse
+		code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Spec: c.spec, Start: free, Goal: far}, &er)
+		if code != http.StatusBadRequest || !strings.Contains(er.Error, "tenant build failed") {
+			t.Errorf("%s: status %d (%q), want 400 tenant build failed", c.name, code, er.Error)
+		}
 	}
 }
 

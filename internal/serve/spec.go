@@ -264,11 +264,23 @@ func (sp Spec) build() (engine, *parmp.Space, error) {
 	}
 
 	dim := space.Dim()
+	// Endpoints must be usable configurations: a root or goal outside
+	// the bounds or in collision can never be reached, and a portfolio
+	// would race its whole wave budget before reporting it.
 	toConfig := func(v []float64, what string) (parmp.Config, error) {
 		if len(v) != dim {
 			return nil, fmt.Errorf("%s has %d coordinates, space is %dD", what, len(v), dim)
 		}
-		return parmp.Config(v), nil
+		q := parmp.Config(v)
+		for i, x := range q {
+			if !(x >= space.Bounds.Lo[i] && x <= space.Bounds.Hi[i]) { // NaN fails too
+				return nil, fmt.Errorf("%s %v lies outside the space bounds", what, v)
+			}
+		}
+		if !space.Valid(q, nil) {
+			return nil, fmt.Errorf("%s %v is in collision", what, v)
+		}
+		return q, nil
 	}
 	if sp.Portfolio > 0 {
 		root, err := toConfig(sp.Root, "root")
