@@ -5,8 +5,6 @@ import (
 	"parmp/internal/graph"
 	"parmp/internal/region"
 	"parmp/internal/rrt"
-	"parmp/internal/sched"
-	"parmp/internal/work"
 )
 
 // branchConnectOutcome is the branch-connection phase's product: the
@@ -29,9 +27,8 @@ type branchConnectOutcome struct {
 // is rebuilt from committedBridges each round, so an aborted round
 // costs nothing to undo.
 func runBranchConnect(pl *pipeline, rg *region.Graph, s *cspace.Space, opts Options,
-	branches []*rrt.Tree, committedBridges [][4]int, stop <-chan struct{}) branchConnectOutcome {
+	branches []*rrt.Tree, committedBridges [][4]int) branchConnectOutcome {
 
-	n := rg.NumRegions()
 	var pairs [][2]int
 	rg.ForEachAdjacentPair(func(a, b int) { pairs = append(pairs, [2]int{a, b}) })
 	type connResult struct {
@@ -39,55 +36,39 @@ func runBranchConnect(pl *pipeline, rg *region.Graph, s *cspace.Space, opts Opti
 		ok     bool
 	}
 	conns := make([]connResult, len(pairs))
-	connectTasks := [][]work.Task{make([]work.Task, len(pairs))}
-	for idx := range pairs {
-		idx := idx
+	var out branchConnectOutcome
+	makespan, stopped := pl.runPriced("region-connect", len(pairs), func(idx int) float64 {
 		a, b := pairs[idx][0], pairs[idx][1]
-		connectTasks[0][idx] = work.Task{
-			ID: idx,
-			Run: func() (float64, int) {
-				var c cspace.Counters
-				target := region.ConeTarget(rg.Region(b))
-				ia, ib, ok := rrt.Connect(s, branches[a], branches[b], target, 3, &c)
-				conns[idx] = connResult{ia: ia, ib: ib, ok: ok}
-				return opts.Cost.Time(c), 0
-			},
+		var c cspace.Counters
+		ia, ib, ok := rrt.Connect(s, branches[a], branches[b], region.ConeTarget(rg.Region(b)), 3, &c)
+		conns[idx] = connResult{ia: ia, ib: ib, ok: ok}
+		return opts.Cost.Time(c)
+	}, func(idx int, cost float64) (int, float64) {
+		ownerA, ownerB := rg.Owner[pairs[idx][0]], rg.Owner[pairs[idx][1]]
+		if ownerA != ownerB {
+			out.regionRemote++
+			return ownerA, cost + opts.Profile.RemoteAccess
 		}
-	}
-	pl.hostExec("region-connect", connectTasks)
-	if sched.Canceled(stop) {
+		return ownerA, cost + opts.Profile.LocalAccess
+	})
+	if stopped {
 		return branchConnectOutcome{stopped: true}
 	}
-	uf := graph.NewUnionFind(n)
+	out.makespan = makespan
+	uf := graph.NewUnionFind(rg.NumRegions())
 	for _, br := range committedBridges {
 		uf.Union(br[0], br[2])
 	}
-	var out branchConnectOutcome
-	connQueues := make([][]work.Task, opts.Procs)
-	for idx := range pairs {
+	for idx, c := range conns {
+		if !c.ok {
+			continue
+		}
 		a, b := pairs[idx][0], pairs[idx][1]
-		cost, _ := connectTasks[0][idx].Run() // memoized after the host pass
-		ownerA, ownerB := rg.Owner[a], rg.Owner[b]
-		if ownerA != ownerB {
-			out.regionRemote++
-			cost += opts.Profile.RemoteAccess
+		if uf.Union(a, b) {
+			out.newBridges = append(out.newBridges, [4]int{a, c.ia, b, c.ib})
 		} else {
-			cost += opts.Profile.LocalAccess
-		}
-		connQueues[ownerA] = append(connQueues[ownerA], costTask(idx, cost))
-		if conns[idx].ok {
-			if uf.Union(a, b) {
-				out.newBridges = append(out.newBridges, [4]int{a, conns[idx].ia, b, conns[idx].ib})
-			} else {
-				out.newPruned++
-			}
+			out.newPruned++
 		}
 	}
-	connRep := pl.replay(phaseSpec{name: "region-connect", queues: connQueues})
-	if connRep.Stopped || sched.Canceled(stop) {
-		out.stopped = true
-		return out
-	}
-	out.makespan = connRep.Makespan
 	return out
 }

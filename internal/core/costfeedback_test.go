@@ -31,8 +31,8 @@ func growRRT(t *testing.T, e *TreeEngine, n int) *RRTResult {
 }
 
 // constructCVs extracts the per-round construct-phase busy-time CV from
-// the retained phase reports (which keep worker stats; per-task maps are
-// trimmed).
+// the retained phase reports (which keep worker stats; per-task records
+// are dropped).
 func constructCVs(reports []PhaseReport) []float64 {
 	var out []float64
 	for _, pr := range reports {
@@ -248,8 +248,8 @@ func TestDiffusiveRebalanceMovesOwnership(t *testing.T) {
 }
 
 // TestPhaseReportsTrimmedAndRegionCostsBounded pins the retention
-// contract: retained phase reports drop their per-task maps (the memory
-// fix), and the bounded per-region summary carries the per-region cost
+// contract: retained phase reports drop their per-task records (the
+// memory fix), and the bounded per-region summary carries the per-region cost
 // detail instead.
 func TestPhaseReportsTrimmedAndRegionCostsBounded(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
@@ -264,9 +264,8 @@ func TestPhaseReportsTrimmedAndRegionCostsBounded(t *testing.T) {
 	}
 	for _, pr := range res.PhaseReports {
 		rep := pr.Report
-		if rep.ExecutedBy != nil || rep.Cost != nil || rep.Payload != nil ||
-			rep.Elapsed != nil || rep.TaskRegion != nil {
-			t.Fatalf("phase %q round %d retained per-task maps", pr.Phase, pr.Round)
+		if rep.Tasks != nil {
+			t.Fatalf("phase %q round %d retained per-task records", pr.Phase, pr.Round)
 		}
 		if len(rep.Workers) == 0 {
 			t.Fatalf("phase %q round %d lost its worker stats", pr.Phase, pr.Round)

@@ -228,52 +228,35 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	// old×new), so pairs whose regions gained nothing cost nothing.
 	var pairs [][2]int
 	rg.ForEachAdjacentPair(func(a, b int) { pairs = append(pairs, [2]int{a, b}) })
+	// Each pair runs on the less-loaded of its two owners and pays the
+	// local or remote access price per connection attempt.
 	brs := make([]prm.BoundaryResult, len(pairs))
-	connectTasks := [][]work.Task{make([]work.Task, len(pairs))}
-	for idx := range pairs {
-		idx := idx
-		a, b := pairs[idx][0], pairs[idx][1]
-		connectTasks[0][idx] = work.Task{
-			ID: idx,
-			Run: func() (float64, int) {
-				brs[idx] = e.connectPairIncremental(a, b, combined, firstNew)
-				return opts.Cost.Time(brs[idx].Work), 0
-			},
-		}
-	}
-	pl.hostExec("region-connect", connectTasks)
-	if sched.Canceled(stop) {
-		return rb.abort()
-	}
 	connLoad := make([]float64, opts.Procs)
-	connQueues := make([][]work.Task, opts.Procs)
-	var newBoundary []boundaryEdge
 	regionRemote, roadmapRemote := 0, 0
-	for idx := range pairs {
-		a, b := pairs[idx][0], pairs[idx][1]
-		cost, _ := connectTasks[0][idx].Run() // memoized after the host pass
-		br := brs[idx]
-		ownerA, ownerB := rg.Owner[a], rg.Owner[b]
+	connMakespan, stopped := pl.runPriced("region-connect", len(pairs), func(idx int) float64 {
+		brs[idx] = e.connectPairIncremental(pairs[idx][0], pairs[idx][1], combined, firstNew)
+		return opts.Cost.Time(brs[idx].Work)
+	}, func(idx int, cost float64) (int, float64) {
+		attempts := brs[idx].Attempts
+		ownerA, ownerB := rg.Owner[pairs[idx][0]], rg.Owner[pairs[idx][1]]
 		if ownerA != ownerB {
 			regionRemote++
-			roadmapRemote += br.Attempts
-			cost += opts.Profile.RemoteAccess * float64(1+br.Attempts)
+			roadmapRemote += attempts
+			cost += opts.Profile.RemoteAccess * float64(1+attempts)
 		} else {
-			cost += opts.Profile.LocalAccess * float64(1+br.Attempts)
+			cost += opts.Profile.LocalAccess * float64(1+attempts)
 		}
 		runner := ownerA
 		if connLoad[ownerB] < connLoad[ownerA] {
 			runner = ownerB
 		}
 		connLoad[runner] += cost
-		connQueues[runner] = append(connQueues[runner], costTask(idx, cost))
-		newBoundary = append(newBoundary, boundaryEdge{a: a, b: b, pairs: br.Edges})
-	}
-	connRep := pl.replay(phaseSpec{name: "region-connect", queues: connQueues})
-	if connRep.Stopped || sched.Canceled(stop) {
+		return runner, cost
+	})
+	if stopped {
 		return rb.abort()
 	}
-	phases.RegionConnection = connRep.Makespan + pl.barrier()
+	phases.RegionConnection = connMakespan + pl.barrier()
 	phases.Other = pl.barrier()
 
 	// --- Commit: append the round's output, rebuild the roadmap, and
@@ -286,7 +269,9 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 		e.data[i].sampleWork.Add(fresh[i].sampleWork)
 		e.data[i].connectWork.Add(fresh[i].connectWork)
 	}
-	e.boundary = append(e.boundary, newBoundary...)
+	for idx, pr := range pairs {
+		e.boundary = append(e.boundary, boundaryEdge{a: pr[0], b: pr[1], pairs: brs[idx].Edges})
+	}
 	// Feed the committed round's observed construct costs to the cost
 	// model (next round's weights) and the bounded per-region summary.
 	pl.observeConstruct(n, report, sampleCounts)
@@ -323,6 +308,10 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	return nil
 }
 
+// boundaryFrontier caps how many of a region's nodes participate in each
+// cross-region connection attempt (the boundary frontier).
+const boundaryFrontier = 1
+
 // connectPairIncremental connects regions a and b after a round: a's new
 // nodes against all of b, then a's old nodes against b's new nodes.
 // Edge indices are mapped into the regions' final (committed) node
@@ -334,7 +323,7 @@ func (e *PRMEngine) connectPairIncremental(a, b int, combined [][]prm.Node, firs
 	oldA := combined[a][:firstNew[a]]
 	newB := combined[b][firstNew[b]:]
 	if len(newA) > 0 {
-		br := prm.ConnectBoundary(e.s, newA, combined[b], e.opts.BoundaryK, e.opts.BoundaryFrontier)
+		br := prm.ConnectBoundary(e.s, newA, combined[b], e.opts.BoundaryK, boundaryFrontier)
 		out.Work.Add(br.Work)
 		out.Attempts += br.Attempts
 		for _, pr := range br.Edges {
@@ -342,7 +331,7 @@ func (e *PRMEngine) connectPairIncremental(a, b int, combined [][]prm.Node, firs
 		}
 	}
 	if len(oldA) > 0 && len(newB) > 0 {
-		br := prm.ConnectBoundary(e.s, oldA, newB, e.opts.BoundaryK, e.opts.BoundaryFrontier)
+		br := prm.ConnectBoundary(e.s, oldA, newB, e.opts.BoundaryK, boundaryFrontier)
 		out.Work.Add(br.Work)
 		out.Attempts += br.Attempts
 		for _, pr := range br.Edges {

@@ -146,7 +146,7 @@ func (e *TreeEngine) growRegion(i int, params rrt.Params, r *rng.Stream) treeSte
 		if old := e.starTrees[i]; old != nil {
 			tree = copyStarTree(old)
 		}
-		res := rrt.GrowStarTree(e.s, reg, tree, rrt.StarParams{Params: params, RewireRadius: e.opts.RewireRadius}, r)
+		res := rrt.GrowStarTree(e.s, reg, tree, rrt.StarParams{Params: params}, r)
 		return treeStep{
 			branch:  &rrt.Tree{Nodes: res.Tree.Nodes},
 			nodes:   res.Tree.Len(),
@@ -224,6 +224,10 @@ func recomputeStarCosts(s *cspace.Space, t *rrt.StarTree, costs []float64) []flo
 	return costs
 }
 
+// kRays is how many random rays per region the round-0 k-ray weight
+// probe casts (the paper's RRT work estimate).
+const kRays = 8
+
 // GrowRound runs one pipeline pass, growing every region toward a
 // cumulative target of (round+1)·NodesPerRegion nodes and attempting
 // cross-region connections for still-disconnected adjacent pairs.
@@ -257,7 +261,7 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	cvBefore := prev.CVBefore
 	if round == 0 {
 		if e.s.Dim() == e.s.Env.Dim() {
-			weights = repart.KRayWeights(e.s.Env, rg, opts.KRays, opts.Seed)
+			weights = repart.KRayWeights(e.s.Env, rg, kRays, opts.Seed)
 		}
 		if err := rg.SetWeights(weights); err != nil {
 			return err
@@ -265,14 +269,13 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 		cvBefore = metrics.CV(rg.LoadPerProcessor(opts.Procs))
 		if opts.Strategy == Repartition {
 			// The weight pass itself costs k rays per region on the owner.
-			rayCost := float64(opts.KRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
-			rayRep := pl.replay(phaseSpec{
-				name: "weight",
-				queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
-					return costTask(i, rayCost)
-				}),
-			})
-			phases.Redistribution = rayRep.Makespan + pl.barrier()
+			rayCost := float64(kRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
+			rayMakespan, stopped := pl.runPriced("weight", n, func(int) float64 { return rayCost },
+				func(i int, cost float64) (int, float64) { return rg.Owner[i], cost })
+			if stopped {
+				return rb.abort()
+			}
+			phases.Redistribution = rayMakespan + pl.barrier()
 			// Note: unlike PRM there is no balanced-already escape hatch
 			// here — the k-ray estimate CLAIMS imbalance whether or not it
 			// is real, which is the paper's point. Migration proceeds
@@ -340,8 +343,8 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	weightCorr := prev.WeightActualCorr
 	if opts.Strategy == Repartition && (round == 0 || opts.CostModel == CostObserved) {
 		costs := make([]float64, n)
-		for i := 0; i < n; i++ {
-			costs[i] = report.Cost[i]
+		for _, tr := range report.Tasks {
+			costs[tr.ID] = tr.Cost
 		}
 		weightCorr = metrics.Pearson(weights, costs)
 	}
@@ -351,7 +354,7 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	for i := 0; i < n; i++ {
 		branches[i] = steps[i].branch
 	}
-	conn := runBranchConnect(pl, rg, e.s, opts, branches, e.bridges, stop)
+	conn := runBranchConnect(pl, rg, e.s, opts, branches, e.bridges)
 	if conn.stopped {
 		return rb.abort()
 	}
@@ -507,7 +510,8 @@ func (e *TreeEngine) commitRepair(st RepairStats, branches []*rrt.Tree) {
 // against the delta using the repaired branches: a bridge survives when
 // both endpoints survived and its edge is still free. The per-bridge
 // checks run as a priced accounting phase on each bridge's owning
-// processor. remaps[i] == nil means region i's branch is unchanged.
+// processor and are folded in bridge order afterwards. remaps[i] == nil
+// means region i's branch is unchanged.
 func repairBridgeSet(pl *pipeline, owner []int, opts Options, dc *cspace.DeltaChecker,
 	bridges [][4]int, branches []*rrt.Tree, remaps [][]int, st *RepairStats) (kept [][4]int, removed int, makespan float64, stopped bool) {
 
@@ -520,35 +524,44 @@ func repairBridgeSet(pl *pipeline, owner []int, opts Options, dc *cspace.DeltaCh
 		}
 		return remap[idx]
 	}
-	costs := make([]float64, len(bridges))
-	for bi, br := range bridges {
+	type bridgeCheck struct {
+		na, nb  int
+		alive   bool // both endpoints survived their region's repair
+		checked bool // the delta can block the edge, so it was re-planned
+		free    bool
+		work    cspace.Counters
+	}
+	checks := make([]bridgeCheck, len(bridges))
+	makespan, stopped = pl.runPriced("repair-bridges", len(bridges), func(bi int) float64 {
+		br, c := bridges[bi], &checks[bi]
 		a, b := br[0], br[2]
-		na, nb := mapIdx(remaps[a], br[1]), mapIdx(remaps[b], br[3])
-		if na < 0 || nb < 0 || branches[a] == nil || branches[b] == nil {
+		c.na, c.nb = mapIdx(remaps[a], br[1]), mapIdx(remaps[b], br[3])
+		if c.na < 0 || c.nb < 0 || branches[a] == nil || branches[b] == nil {
+			return 0
+		}
+		c.alive = true
+		qa, qb := branches[a].Nodes[c.na].Q, branches[b].Nodes[c.nb].Q
+		if !dc.EdgeAffected(qa, qb) {
+			c.free = true
+			return 0
+		}
+		c.checked = true
+		c.free = dc.EdgeStillFree(qa, qb, &c.work)
+		return opts.Cost.Time(c.work)
+	}, func(bi int, cost float64) (int, float64) { return owner[bridges[bi][0]], cost })
+	if stopped {
+		return nil, 0, 0, true
+	}
+	for bi, c := range checks {
+		if c.checked {
+			st.CheckedEdges++
+			st.Work.Add(c.work)
+		}
+		if !c.alive || !c.free {
 			removed++
 			continue
 		}
-		qa, qb := branches[a].Nodes[na].Q, branches[b].Nodes[nb].Q
-		if dc.EdgeAffected(qa, qb) {
-			st.CheckedEdges++
-			var c cspace.Counters
-			ok := dc.EdgeStillFree(qa, qb, &c)
-			costs[bi] = opts.Cost.Time(c)
-			st.Work.Add(c)
-			if !ok {
-				removed++
-				continue
-			}
-		}
-		kept = append(kept, [4]int{a, na, b, nb})
+		kept = append(kept, [4]int{bridges[bi][0], c.na, bridges[bi][2], c.nb})
 	}
-	queues := make([][]work.Task, opts.Procs)
-	for bi, br := range bridges {
-		queues[owner[br[0]]] = append(queues[owner[br[0]]], costTask(bi, costs[bi]))
-	}
-	rep := pl.replay(phaseSpec{name: "repair-bridges", queues: queues})
-	if rep.Stopped {
-		return nil, 0, 0, true
-	}
-	return kept, removed, rep.Makespan + pl.barrier(), false
+	return kept, removed, makespan + pl.barrier(), false
 }

@@ -39,13 +39,13 @@ type phaseSpec struct {
 // internal/obsv) are derivable from a finished run without re-executing
 // it.
 //
-// Memory bound: the retained reports drop their per-task maps
-// (ExecutedBy/Cost/Payload/Elapsed/TaskRegion) after the pipeline has
-// derived what it needs from them — the cost model observes the live
-// report before retention — so a result holds O(rounds × phases ×
-// workers) worker stats, not O(rounds × tasks) task entries. Per-region
-// cost detail survives in the results' bounded RegionCosts summary
-// (count/sum/max per region, O(regions) total).
+// Memory bound: the retained reports drop their per-task records
+// (sched.Report.Tasks) after the pipeline has derived what it needs from
+// them — the cost model observes the live report before retention — so
+// a result holds O(rounds × phases × workers) worker stats, not
+// O(rounds × tasks) task records. Per-region cost detail survives in the
+// results' bounded RegionCosts summary (count/sum/max per region,
+// O(regions) total).
 type PhaseReport struct {
 	// Phase is the phase name ("sample", "construct", "weight",
 	// "region-connect", ...).
@@ -59,15 +59,15 @@ type PhaseReport struct {
 }
 
 // pipeline executes planner phases through the scheduler runtime layer:
-// every heavy phase runs once, concurrently, on the host executor (when
-// Options.HostWorkers > 1), and then replays deterministically on the
-// virtual-time runtime for the paper's load-balance accounting. Results
-// and virtual times are bit-identical to a sequential run because region
-// tasks are deterministic and memoized.
+// every heavy phase runs once, concurrently, on the host executor
+// (internal/exec, when Options.HostWorkers > 1), and then replays
+// deterministically on the virtual-time runtime for the paper's
+// load-balance accounting. Results and virtual times are bit-identical
+// to a sequential run because region tasks are deterministic and
+// memoized.
 type pipeline struct {
 	opts Options
 	vt   sched.Runtime // virtual-time backend (default: the DES in internal/dist)
-	host sched.Runtime // real-goroutine backend for the host pre-pass
 	// reports accumulates every replayed phase's runtime report, in
 	// replay order, for the planner results' PhaseReports.
 	reports []PhaseReport
@@ -87,7 +87,7 @@ func newPipeline(opts Options) *pipeline {
 	if vt == nil {
 		vt = dist.Runtime
 	}
-	return &pipeline{opts: opts, vt: vt, host: exec.Runtime}
+	return &pipeline{opts: opts, vt: vt}
 }
 
 // rollback is the undo point of one cancellable engine pass (a growth
@@ -128,8 +128,8 @@ var hostPhaseObserver func(phase string, rep sched.Report)
 
 // hostExec memoizes the queued tasks in place and executes them
 // concurrently on HostWorkers goroutines. A no-op for HostWorkers <= 1,
-// where tasks run lazily (and sequentially) during the virtual-time
-// replay instead.
+// where tasks run lazily (and sequentially) when the virtual-time replay
+// or runPriced's placement loop first calls them instead.
 func (pl *pipeline) hostExec(name string, queues [][]work.Task) {
 	if pl.opts.HostWorkers <= 1 {
 		return
@@ -137,16 +137,12 @@ func (pl *pipeline) hostExec(name string, queues [][]work.Task) {
 	for p := range queues {
 		queues[p] = memoize(queues[p])
 	}
-	pre := make([][]work.Task, len(queues))
-	for p := range queues {
-		pre[p] = append([]work.Task(nil), queues[p]...)
-	}
-	rep := pl.host.Run(sched.Config{
+	rep := exec.Run(sched.Config{
 		Workers: pl.opts.HostWorkers,
 		Policy:  steal.RandK{K: 2},
 		Seed:    pl.opts.Seed,
 		Stop:    pl.stop,
-	}, pre)
+	}, queues)
 	if hostPhaseObserver != nil {
 		hostPhaseObserver(name, rep)
 	}
@@ -155,9 +151,9 @@ func (pl *pipeline) hostExec(name string, queues [][]work.Task) {
 // replay plays a phase on the virtual-time runtime and returns its
 // report, keeping a copy in the pipeline's phase-report log. Memoized
 // tasks answer instantly with their recorded cost, so the replay is pure
-// accounting after a host pre-pass. The retained copy is trimmed of its
-// per-task maps (see PhaseReport's memory bound); the returned report is
-// the full one, so same-round consumers (ownership write-back, cost
+// accounting after a host pre-pass. The retained copy drops its per-task
+// records (see PhaseReport's memory bound); the returned report is the
+// full one, so same-round consumers (ownership write-back, cost
 // observation, weight correlation) see every task.
 func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 	rep := pl.vt.Run(sched.Config{
@@ -169,21 +165,9 @@ func (pl *pipeline) replay(ph phaseSpec) sched.Report {
 		Seed:       pl.opts.Seed ^ ph.salt,
 		Stop:       pl.stop,
 	}, ph.queues)
-	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Round: len(pl.reports), Report: trimReport(rep)})
-	return rep
-}
-
-// trimReport returns a copy of rep without the per-task maps, keeping the
-// O(workers) profile (stats, makespan, totals) that per-phase metrics
-// derive from. Retaining full reports across an engine's lifetime would
-// grow O(rounds × tasks); the bounded per-region view lives in the
-// results' RegionCosts instead.
-func trimReport(rep sched.Report) sched.Report {
-	rep.ExecutedBy = nil
-	rep.Cost = nil
-	rep.Payload = nil
-	rep.Elapsed = nil
-	rep.TaskRegion = nil
+	kept := rep
+	kept.Tasks = nil
+	pl.reports = append(pl.reports, PhaseReport{Phase: ph.name, Round: len(pl.reports), Report: kept})
 	return rep
 }
 
@@ -192,6 +176,41 @@ func trimReport(rep sched.Report) sched.Report {
 func (pl *pipeline) run(ph phaseSpec) sched.Report {
 	pl.hostExec(ph.name, ph.queues)
 	return pl.replay(ph)
+}
+
+// runPriced executes a priced accounting phase of n phase-local tasks
+// (region pairs, boundary edges, bridges, weight probes): each task runs
+// once on the host (concurrently when HostWorkers > 1) and returns its
+// cost; place then assigns the tasks, in index order, to the processor
+// charged for each, returning the priced cost (task cost plus any access
+// charge). The resulting per-processor queues replay bulk-synchronously
+// in virtual time; their tasks keep the phase-local index as ID and carry
+// no region tag (work.NoRegion). It returns the phase makespan, or
+// stopped when the pipeline's stop channel fired.
+func (pl *pipeline) runPriced(name string, n int, task func(idx int) float64,
+	place func(idx int, cost float64) (proc int, priced float64)) (makespan float64, stopped bool) {
+	// One host queue: the executor reshards it round-robin over its
+	// workers, as the phase-local tasks have no owner yet.
+	host := [][]work.Task{make([]work.Task, n)}
+	for idx := range host[0] {
+		idx := idx
+		host[0][idx] = work.Task{ID: idx, Run: func() (float64, int) { return task(idx), 0 }}
+	}
+	pl.hostExec(name, host)
+	if sched.Canceled(pl.stop) {
+		return 0, true
+	}
+	queues := make([][]work.Task, pl.opts.Procs)
+	for idx, t := range host[0] {
+		cost, _ := t.Run() // memoized after the host pass
+		proc, priced := place(idx, cost)
+		queues[proc] = append(queues[proc], work.Task{
+			ID: idx, Region: work.NoRegion,
+			Run: func() (float64, int) { return priced, 0 },
+		})
+	}
+	rep := pl.replay(phaseSpec{name: name, queues: queues})
+	return rep.Makespan, rep.Stopped || sched.Canceled(pl.stop)
 }
 
 // RegionCost is a bounded summary of one region's observed
@@ -215,18 +234,18 @@ func (c RegionCost) Mean() float64 {
 }
 
 // accumulateRegionCosts folds one construct report's per-task costs into
-// the per-region accumulator, keyed by TaskRegion. Untagged tasks
-// (work.NoRegion) are skipped.
+// the per-region accumulator, keyed by the task's region tag. Untagged
+// tasks (work.NoRegion) are skipped.
 func accumulateRegionCosts(acc []RegionCost, rep sched.Report) {
-	for id, c := range rep.Cost {
-		r, ok := rep.TaskRegion[id]
-		if !ok || r < 0 || r >= len(acc) {
+	for _, tr := range rep.Tasks {
+		r := tr.Region
+		if r < 0 || r >= len(acc) {
 			continue
 		}
 		acc[r].Count++
-		acc[r].Sum += c
-		if c > acc[r].Max {
-			acc[r].Max = c
+		acc[r].Sum += tr.Cost
+		if tr.Cost > acc[r].Max {
+			acc[r].Max = tr.Cost
 		}
 	}
 }
@@ -259,17 +278,10 @@ func queuesByOwner(procs int, owner []int, n int, mk func(i int) work.Task) [][]
 	return queues
 }
 
-// costTask wraps a precomputed cost as a task for bulk-synchronous
-// accounting phases. Its ID is phase-local (a pair index, not a region),
-// so it carries no region attribution unless a caller tags it.
-func costTask(id int, cost float64) work.Task {
-	return work.Task{ID: id, Region: work.NoRegion, Run: func() (float64, int) { return cost, 0 }}
-}
-
 // observeConstruct folds one round's construct-phase report into the
 // observed cost model, attributing each task's occupancy time (Elapsed,
 // which equals the virtual cost on the virtual-time backend) to its
-// TaskRegion. When units is non-nil the model tracks cost per work unit
+// region tag. When units is non-nil the model tracks cost per work unit
 // (cost divided by units[r] — for PRM, the region's fresh sample count
 // that round) instead of raw task cost, which keeps the estimate
 // comparable across rounds whose unit counts differ; regions with zero
@@ -281,16 +293,16 @@ func (pl *pipeline) observeConstruct(n int, rep sched.Report, units []int) {
 		return
 	}
 	if pl.cm == nil {
-		pl.cm = costmodel.NewEWMA(n, pl.opts.CostAlpha)
+		pl.cm = costmodel.NewEWMA(n, costmodel.DefaultAlpha)
 	}
 	costs := make([]float64, n)
 	seen := make([]bool, n)
-	for id, c := range rep.Elapsed {
-		r, ok := rep.TaskRegion[id]
-		if !ok || r < 0 || r >= n {
+	for _, tr := range rep.Tasks {
+		r := tr.Region
+		if r < 0 || r >= n {
 			continue
 		}
-		costs[r] += c
+		costs[r] += tr.Elapsed
 		seen[r] = true
 	}
 	if units != nil {
@@ -341,6 +353,10 @@ func (pl *pipeline) roundWeights(static []float64, units []int) []float64 {
 	return out
 }
 
+// diffuseSweeps bounds the diffusive rebalance's mesh passes per round;
+// each pass terminates early once no move improves a neighbor pair.
+const diffuseSweeps = 3
+
 // diffuse applies the between-rounds diffusive rebalance to the
 // construct queues: exec.Diffuse shifts region tasks along the steal
 // mesh toward the weight equilibrium, then the resulting placement is
@@ -354,17 +370,13 @@ func (pl *pipeline) diffuse(rg *region.Graph, queues [][]work.Task, weights []fl
 	if pl.opts.Rebalance != RebalanceDiffusive {
 		return 0, 0
 	}
-	sweeps := pl.opts.DiffuseSweeps
-	if sweeps <= 0 {
-		sweeps = 3
-	}
 	est := func(t work.Task) float64 {
 		if t.Region >= 0 && t.Region < len(weights) {
 			return weights[t.Region]
 		}
 		return 0
 	}
-	if exec.Diffuse(queues, est, sweeps) == 0 {
+	if exec.Diffuse(queues, est, diffuseSweeps) == 0 {
 		return 0, 0
 	}
 	assign := append([]int(nil), rg.Owner...)
@@ -388,8 +400,8 @@ func (pl *pipeline) applyOwnership(rg *region.Graph, rep sched.Report) {
 	if pl.opts.Strategy != WorkStealing {
 		return
 	}
-	for id, p := range rep.ExecutedBy {
-		rg.Owner[id] = p
+	for _, tr := range rep.Tasks {
+		rg.Owner[tr.ID] = tr.Worker
 	}
 }
 

@@ -38,7 +38,7 @@ type PRMResult struct {
 	DiffusedRegions int
 	// RegionCosts[i] summarizes region i's observed construct-phase task
 	// costs over all committed rounds (count/sum/max; see RegionCost).
-	// The bounded replacement for the per-task maps the retained
+	// The bounded replacement for the per-task records the retained
 	// PhaseReports drop.
 	RegionCosts []RegionCost
 	// Repairs summarizes the incremental-repair work committed by

@@ -169,51 +169,34 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 		work             cspace.Counters
 	}
 	brs := make([]boundaryRepair, len(e.boundary))
-	btasks := [][]work.Task{make([]work.Task, len(e.boundary))}
-	for idx := range e.boundary {
-		idx := idx
+	bmakespan, stopped := pl.runPriced("repair-boundary", len(e.boundary), func(idx int) float64 {
 		be := e.boundary[idx]
-		btasks[0][idx] = work.Task{
-			ID: idx,
-			Run: func() (float64, int) {
-				br := boundaryRepair{keep: make([]bool, len(be.pairs))}
-				for k, pr := range be.pairs {
-					if !rrs[be.a].Alive[pr[0]] || !rrs[be.b].Alive[pr[1]] {
-						br.removed++
-						continue
-					}
-					qa := e.data[be.a].nodes[pr[0]].Q
-					qb := e.data[be.b].nodes[pr[1]].Q
-					if !dc.EdgeAffected(qa, qb) {
-						br.keep[k] = true
-						continue
-					}
-					br.checked++
-					if dc.EdgeStillFree(qa, qb, &br.work) {
-						br.keep[k] = true
-					} else {
-						br.removed++
-					}
-				}
-				brs[idx] = br
-				return opts.Cost.Time(br.work), 0
-			},
+		br := boundaryRepair{keep: make([]bool, len(be.pairs))}
+		for k, pr := range be.pairs {
+			if !rrs[be.a].Alive[pr[0]] || !rrs[be.b].Alive[pr[1]] {
+				br.removed++
+				continue
+			}
+			qa := e.data[be.a].nodes[pr[0]].Q
+			qb := e.data[be.b].nodes[pr[1]].Q
+			if !dc.EdgeAffected(qa, qb) {
+				br.keep[k] = true
+				continue
+			}
+			br.checked++
+			if dc.EdgeStillFree(qa, qb, &br.work) {
+				br.keep[k] = true
+			} else {
+				br.removed++
+			}
 		}
-	}
-	pl.hostExec("repair-boundary", btasks)
-	if sched.Canceled(stop) {
+		brs[idx] = br
+		return opts.Cost.Time(br.work)
+	}, func(idx int, cost float64) (int, float64) { return rg.Owner[e.boundary[idx].a], cost })
+	if stopped {
 		return nil, rb.abort()
 	}
-	bq := make([][]work.Task, opts.Procs)
-	for idx := range e.boundary {
-		cost, _ := btasks[0][idx].Run() // memoized after the host pass
-		bq[rg.Owner[e.boundary[idx].a]] = append(bq[rg.Owner[e.boundary[idx].a]], costTask(idx, cost))
-	}
-	brep := pl.replay(phaseSpec{name: "repair-boundary", queues: bq})
-	if brep.Stopped || sched.Canceled(stop) {
-		return nil, rb.abort()
-	}
-	makespan += brep.Makespan + pl.barrier()
+	makespan += bmakespan + pl.barrier()
 
 	// --- Commit: compact every region's data, remap boundary pairs,
 	// rebuild the merged roadmap. Nothing above mutated committed state.

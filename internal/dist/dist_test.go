@@ -79,11 +79,20 @@ func TestStealingReducesMakespan(t *testing.T) {
 	}
 }
 
+// executedBy maps each executed task's ID to the processor that ran it.
+func executedBy(rep Report) map[int]int {
+	by := make(map[int]int, len(rep.Tasks))
+	for _, tr := range rep.Tasks {
+		by[tr.ID] = tr.Worker
+	}
+	return by
+}
+
 func TestAllTasksExecutedExactlyOnce(t *testing.T) {
 	rows := [][]float64{{5, 7, 3, 9, 2}, {}, {1}, {}}
 	rep := Run(Config{Workers: 4, Profile: testProfile(), Policy: steal.Hybrid{K: 2}, Seed: 7}, fixedTasks(rows))
-	if len(rep.ExecutedBy) != 6 {
-		t.Fatalf("executed %d tasks, want 6", len(rep.ExecutedBy))
+	if len(rep.Tasks) != 6 {
+		t.Fatalf("executed %d tasks, want 6", len(rep.Tasks))
 	}
 	total := 0
 	for _, ps := range rep.Workers {
@@ -97,8 +106,8 @@ func TestAllTasksExecutedExactlyOnce(t *testing.T) {
 	for _, ps := range rep.Workers {
 		busySum += ps.Busy
 	}
-	for _, c := range rep.Cost {
-		costSum += c
+	for _, tr := range rep.Tasks {
+		costSum += tr.Cost
 	}
 	if math.Abs(busySum-costSum) > 1e-9 {
 		t.Fatalf("busy %v != cost %v", busySum, costSum)
@@ -118,9 +127,12 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("proc %d stats differ", p)
 		}
 	}
-	for id, proc := range a.ExecutedBy {
-		if b.ExecutedBy[id] != proc {
-			t.Fatalf("task %d executed by %d vs %d", id, proc, b.ExecutedBy[id])
+	if len(a.Tasks) != len(b.Tasks) {
+		t.Fatalf("task records differ: %d vs %d", len(a.Tasks), len(b.Tasks))
+	}
+	for i := range a.Tasks {
+		if a.Tasks[i] != b.Tasks[i] {
+			t.Fatalf("task record %d differs: %+v vs %+v", i, a.Tasks[i], b.Tasks[i])
 		}
 	}
 }
@@ -130,11 +142,12 @@ func TestStealFromBack(t *testing.T) {
 	// (ids 2,3), leaving the front for the owner.
 	rows := [][]float64{{100, 100, 100, 100}, {}}
 	rep := Run(Config{Workers: 2, Profile: testProfile(), Policy: steal.RandK{K: 1}, Seed: 1, StealChunk: 0.5}, fixedTasks(rows))
-	if rep.ExecutedBy[0] != 0 || rep.ExecutedBy[1] != 0 {
-		t.Fatalf("front tasks should stay with owner: %v", rep.ExecutedBy)
+	by := executedBy(rep)
+	if by[0] != 0 || by[1] != 0 {
+		t.Fatalf("front tasks should stay with owner: %v", by)
 	}
-	if rep.ExecutedBy[2] != 1 && rep.ExecutedBy[3] != 1 {
-		t.Fatalf("back tasks should migrate: %v", rep.ExecutedBy)
+	if by[2] != 1 && by[3] != 1 {
+		t.Fatalf("back tasks should migrate: %v", by)
 	}
 }
 
@@ -160,8 +173,8 @@ func TestMakespanLowerBound(t *testing.T) {
 		t.Fatalf("makespan %v below biggest task", rep.Makespan)
 	}
 	var total float64
-	for _, c := range rep.Cost {
-		total += c
+	for _, tr := range rep.Tasks {
+		total += tr.Cost
 	}
 	if rep.Makespan < total/4 {
 		t.Fatalf("makespan %v below work bound %v", rep.Makespan, total/4)
@@ -192,12 +205,13 @@ func TestQueueMismatchReshards(t *testing.T) {
 	if rep.TotalTasks != 5 {
 		t.Fatalf("TotalTasks = %d, want 5", rep.TotalTasks)
 	}
-	if len(rep.ExecutedBy) != 5 {
-		t.Fatalf("ExecutedBy has %d entries, want 5", len(rep.ExecutedBy))
+	if len(rep.Tasks) != 5 {
+		t.Fatalf("Tasks has %d records, want 5", len(rep.Tasks))
 	}
 	// Round-robin re-shard: tasks 0,2,4 on worker 0; tasks 1,3 on worker 1.
+	by := executedBy(rep)
 	for id, want := range map[int]int{0: 0, 1: 1, 2: 0, 3: 1, 4: 0} {
-		if got := rep.ExecutedBy[id]; got != want {
+		if got := by[id]; got != want {
 			t.Errorf("task %d executed by %d, want %d (round-robin)", id, got, want)
 		}
 	}
@@ -320,7 +334,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 		policies := []steal.Policy{nil, steal.RandK{K: 2}, steal.Diffusive{}, steal.Hybrid{K: 3}}
 		pol := policies[r.Intn(len(policies))]
 		rep := Run(Config{Workers: p, Profile: testProfile(), Policy: pol, Seed: seed}, fixedTasks(rows))
-		if len(rep.ExecutedBy) != nTasks {
+		if len(rep.Tasks) != nTasks {
 			return false
 		}
 		if nTasks > 0 && rep.Makespan+1e-9 < maxTask {

@@ -8,7 +8,8 @@ import (
 // Timeline renders an ASCII utilization chart from a traced run: one row
 // per processor, '#' where the processor was executing a task and '.'
 // where it was idle or communicating. events must come from a Run with
-// Config.Trace installed; rep supplies task costs and totals.
+// Config.Trace installed, whose exec events carry each task's duration;
+// rep supplies the makespan and per-processor totals.
 func Timeline(events []TraceEvent, rep Report, procs, width int) []string {
 	if width < 1 {
 		width = 1
@@ -26,7 +27,7 @@ func Timeline(events []TraceEvent, rep Report, procs, width int) []string {
 			continue
 		}
 		from := int(ev.Time / scale)
-		to := int((ev.Time + rep.Cost[ev.Task]) / scale)
+		to := int((ev.Time + ev.Dur) / scale)
 		for i := from; i <= to && i < width; i++ {
 			rows[ev.Proc][i] = '#'
 		}

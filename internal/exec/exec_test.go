@@ -35,8 +35,8 @@ func TestAllTasksRunOnce(t *testing.T) {
 	if ran != 100 {
 		t.Fatalf("ran %d tasks, want 100", ran)
 	}
-	if len(rep.ExecutedBy) != 100 {
-		t.Fatalf("ExecutedBy has %d entries", len(rep.ExecutedBy))
+	if len(rep.Tasks) != 100 {
+		t.Fatalf("Tasks has %d records", len(rep.Tasks))
 	}
 	total := 0
 	for _, ws := range rep.Workers {
@@ -99,7 +99,7 @@ func TestSingleWorker(t *testing.T) {
 
 func TestEmptyRun(t *testing.T) {
 	rep := Run(Config{Workers: 2, Policy: steal.Diffusive{}}, [][]work.Task{nil, nil})
-	if len(rep.ExecutedBy) != 0 {
+	if len(rep.Tasks) != 0 {
 		t.Fatal("nothing should have run")
 	}
 }

@@ -154,7 +154,6 @@ func prmOpts(sc Scale, procs int, profile work.MachineProfile) core.Options {
 		SamplesPerRegion: sc.SamplesPerRegion,
 		ConnectK:         6,
 		BoundaryK:        1,
-		BoundaryFrontier: 1,
 		Profile:          profile,
 		Seed:             sc.Seed,
 		// Half uniform, half obstacle-based (Gaussian) sampling — the

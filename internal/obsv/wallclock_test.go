@@ -43,22 +43,19 @@ func TestWallClockCostMetricsBalanced(t *testing.T) {
 	}
 	rep := exec.Run(exec.Config{Workers: workers, Seed: 7}, queues)
 
-	if len(rep.Elapsed) != perWorker*workers || len(rep.TaskRegion) != perWorker*workers {
-		t.Fatalf("Elapsed/TaskRegion cover %d/%d tasks, want %d",
-			len(rep.Elapsed), len(rep.TaskRegion), perWorker*workers)
-	}
-	for id, e := range rep.Elapsed {
-		if e < delay.Seconds() {
-			t.Fatalf("task %d elapsed %.6fs, below its %.6fs sleep", id, e, delay.Seconds())
-		}
-		if rep.TaskRegion[id] != id {
-			t.Fatalf("task %d tagged region %d", id, rep.TaskRegion[id])
-		}
+	if len(rep.Tasks) != perWorker*workers {
+		t.Fatalf("Tasks cover %d tasks, want %d", len(rep.Tasks), perWorker*workers)
 	}
 	// Busy must be exactly the sum of measured task times per worker.
 	perWorkerElapsed := make([]float64, workers)
-	for id, e := range rep.Elapsed {
-		perWorkerElapsed[rep.ExecutedBy[id]] += e
+	for _, tr := range rep.Tasks {
+		if tr.Elapsed < delay.Seconds() {
+			t.Fatalf("task %d elapsed %.6fs, below its %.6fs sleep", tr.ID, tr.Elapsed, delay.Seconds())
+		}
+		if tr.Region != tr.ID {
+			t.Fatalf("task %d tagged region %d", tr.ID, tr.Region)
+		}
+		perWorkerElapsed[tr.Worker] += tr.Elapsed
 	}
 	for w, ws := range rep.Workers {
 		if diff := math.Abs(ws.Busy - perWorkerElapsed[w]); diff > 1e-9*(1+ws.Busy) {
@@ -116,8 +113,7 @@ func TestWallClockCostMetricsSkewed(t *testing.T) {
 	}
 	// Migrated tasks keep their cost attribution: every task still has a
 	// measured Elapsed and its original region tag.
-	if len(stealRep.Elapsed) != n || len(stealRep.TaskRegion) != n {
-		t.Fatalf("stolen run lost cost attribution: %d/%d of %d tasks",
-			len(stealRep.Elapsed), len(stealRep.TaskRegion), n)
+	if len(stealRep.Tasks) != n {
+		t.Fatalf("stolen run lost cost attribution: %d of %d tasks", len(stealRep.Tasks), n)
 	}
 }

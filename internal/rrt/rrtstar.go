@@ -20,19 +20,10 @@ type StarTree struct {
 // Len returns the node count.
 func (t *StarTree) Len() int { return len(t.Nodes) }
 
-// StarParams configures region RRT* growth.
+// StarParams configures region RRT* growth. The choose-parent and
+// rewiring neighbourhood radius is 3 x Step.
 type StarParams struct {
 	Params
-	// RewireRadius is the neighbourhood radius for choose-parent and
-	// rewiring. Zero defaults to 3 x Step.
-	RewireRadius float64
-}
-
-func (p StarParams) rewireRadius() float64 {
-	if p.RewireRadius > 0 {
-		return p.RewireRadius
-	}
-	return 3 * p.Step
 }
 
 // StarResult is the product of growing one RRT* region branch.
@@ -68,7 +59,7 @@ func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p StarPar
 	defer PutArena(a)
 	res := StarResult{Tree: tree}
 	target := region.ConeTarget(reg)
-	radius := p.rewireRadius()
+	radius := 3 * p.Step
 	for res.Iters = 0; res.Iters < p.maxIters() && res.Tree.Len() < p.Nodes; res.Iters++ {
 		if r.Float64() < p.GoalBias {
 			a.qRand = geom.CopyInto(a.qRand, target)

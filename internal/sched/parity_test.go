@@ -75,34 +75,41 @@ func checkParityReport(t *testing.T, name string, rep sched.Report, execCount []
 	if lost < stolen {
 		t.Errorf("%s: tasks lost %d < tasks stolen %d", name, lost, stolen)
 	}
-	if len(rep.ExecutedBy) != tasks {
-		t.Fatalf("%s: ExecutedBy has %d entries, want %d", name, len(rep.ExecutedBy), tasks)
+	if len(rep.Tasks) != tasks {
+		t.Fatalf("%s: Tasks has %d records, want %d", name, len(rep.Tasks), tasks)
+	}
+	// Each task ID appears exactly once: a duplicated record would double
+	// a region's observed cost or rewrite its owner twice.
+	byID := make(map[int]sched.TaskRecord, len(rep.Tasks))
+	for _, tr := range rep.Tasks {
+		if _, dup := byID[tr.ID]; dup {
+			t.Errorf("%s: task %d recorded more than once", name, tr.ID)
+		}
+		byID[tr.ID] = tr
 	}
 	for i := 0; i < tasks; i++ {
-		w, ok := rep.ExecutedBy[i]
+		tr, ok := byID[i]
 		if !ok {
-			t.Errorf("%s: task %d missing from ExecutedBy", name, i)
-		} else if w < 0 || w >= workers {
-			t.Errorf("%s: task %d executed by out-of-range worker %d", name, i, w)
+			t.Errorf("%s: task %d missing from Tasks", name, i)
+			continue
 		}
-		if rep.Cost[i] != float64(1+i%5) {
-			t.Errorf("%s: task %d cost %v, want %v", name, i, rep.Cost[i], float64(1+i%5))
+		if tr.Worker < 0 || tr.Worker >= workers {
+			t.Errorf("%s: task %d executed by out-of-range worker %d", name, i, tr.Worker)
 		}
-		if rep.Payload[i] != i%3 {
-			t.Errorf("%s: task %d payload %d, want %d", name, i, rep.Payload[i], i%3)
+		if tr.Cost != float64(1+i%5) {
+			t.Errorf("%s: task %d cost %v, want %v", name, i, tr.Cost, float64(1+i%5))
+		}
+		if tr.Payload != i%3 {
+			t.Errorf("%s: task %d payload %d, want %d", name, i, tr.Payload, i%3)
 		}
 		// Per-task cost attribution (the online cost model's input): both
 		// backends must record every executed task's occupancy time and its
 		// region tag, whatever the steal schedule did to placement.
-		if e, ok := rep.Elapsed[i]; !ok {
-			t.Errorf("%s: task %d missing from Elapsed", name, i)
-		} else if e < 0 {
-			t.Errorf("%s: task %d elapsed %v, want >= 0", name, i, e)
+		if tr.Elapsed < 0 {
+			t.Errorf("%s: task %d elapsed %v, want >= 0", name, i, tr.Elapsed)
 		}
-		if r, ok := rep.TaskRegion[i]; !ok {
-			t.Errorf("%s: task %d missing from TaskRegion", name, i)
-		} else if r != i%4 {
-			t.Errorf("%s: task %d region %d, want %d", name, i, r, i%4)
+		if tr.Region != i%4 {
+			t.Errorf("%s: task %d region %d, want %d", name, i, tr.Region, i%4)
 		}
 	}
 }
@@ -164,16 +171,12 @@ func TestPerTaskCostParity(t *testing.T) {
 				Seed:       42,
 			}, queues)
 			checkParityReport(t, rt.name, rep, execCount, workers)
-			if rt.name == "dist" {
-				for i := 0; i < tasks; i++ {
-					if rep.Elapsed[i] != rep.Cost[i] {
-						t.Errorf("dist: task %d elapsed %v != cost %v", i, rep.Elapsed[i], rep.Cost[i])
-					}
-				}
-			}
 			busySum := make([]float64, workers)
-			for id, e := range rep.Elapsed {
-				busySum[rep.ExecutedBy[id]] += e
+			for _, tr := range rep.Tasks {
+				if rt.name == "dist" && tr.Elapsed != tr.Cost {
+					t.Errorf("dist: task %d elapsed %v != cost %v", tr.ID, tr.Elapsed, tr.Cost)
+				}
+				busySum[tr.Worker] += tr.Elapsed
 			}
 			for w := range rep.Workers {
 				got, want := rep.Workers[w].Busy, busySum[w]
@@ -367,9 +370,13 @@ func TestRuntimeParityMismatchedQueues(t *testing.T) {
 						},
 					})
 				}
-				// No stealing, so the executed-by map IS the re-shard
+				// No stealing, so the executing workers ARE the re-shard
 				// assignment; it must match sched.Reshard's round-robin.
 				rep := rt.rt.Run(sched.Config{Workers: workers, Profile: work.Hopper(), Seed: 5}, queues)
+				executedBy := map[int]int{}
+				for _, tr := range rep.Tasks {
+					executedBy[tr.ID] = tr.Worker
+				}
 				if rep.TotalTasks != tasks {
 					t.Fatalf("TotalTasks = %d, want %d", rep.TotalTasks, tasks)
 				}
@@ -381,7 +388,7 @@ func TestRuntimeParityMismatchedQueues(t *testing.T) {
 				want := sched.Reshard(queues, workers)
 				for w, q := range want {
 					for _, task := range q {
-						if got := rep.ExecutedBy[task.ID]; got != w {
+						if got := executedBy[task.ID]; got != w {
 							t.Errorf("task %d executed by %d, want %d (shared round-robin re-shard)",
 								task.ID, got, w)
 						}

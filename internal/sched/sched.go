@@ -1,8 +1,8 @@
 // Package sched defines the scheduler runtime abstraction shared by the
 // deterministic virtual-time simulator (internal/dist) and the real
 // goroutine work-stealing executor (internal/exec): one Config, one
-// Report, one Runtime interface, and the deque/steal-chunk machinery both
-// backends execute.
+// Report with its per-task TaskRecord table, one Runtime interface, and
+// the deque/steal-chunk machinery both backends execute.
 //
 // The planners in internal/core drive every pipeline phase through a
 // Runtime, so the same phased workload can replay on the simulated
@@ -88,6 +88,35 @@ type WorkerStats struct {
 	StealsIssued, StealsGranted, StealsDenied int
 }
 
+// TaskRecord is one executed task's outcome: who ran it and what it
+// cost. It is the one per-task fact the balancers consume — ownership
+// write-back reads Worker, the online cost model (internal/costmodel)
+// folds Elapsed per Region, and migration pricing reads Payload.
+type TaskRecord struct {
+	// ID is the task's work.Task.ID.
+	ID int
+	// Region is the task's work.Task.Region tag, the cost model's
+	// attribution key. Tasks tagged work.NoRegion are recorded as such;
+	// untagged producers leave the zero value (region 0), so only
+	// region-tagged phases should be fed to the model.
+	Region int
+	// Worker is the worker that ultimately ran the task (ownership
+	// transfer makes this differ from the initial owner).
+	Worker int
+	// Cost is the task's reported cost.
+	Cost float64
+	// Elapsed is the time the task actually occupied its worker, in the
+	// report's time units: for the simulator it is identical to Cost (a
+	// task occupies exactly its reported virtual cost); for the host
+	// executor it is the measured wall-clock seconds of the task's Run
+	// call (Cost stays whatever the closure reported, which may be in
+	// different units).
+	Elapsed float64
+	// Payload is the task's reported payload (e.g. roadmap vertices
+	// created), for downstream migration pricing.
+	Payload int
+}
+
 // Report is the outcome of a runtime execution.
 type Report struct {
 	// Makespan is the completion time of the whole run: virtual time for
@@ -98,36 +127,20 @@ type Report struct {
 	Wall       time.Duration
 	Workers    []WorkerStats
 	TotalTasks int
-	// ExecutedBy[taskID] is the worker that ultimately ran the task
-	// (ownership transfer makes this differ from the initial owner).
-	ExecutedBy map[int]int
-	// Cost[taskID] is the task's reported cost; Payload[taskID] its
-	// reported payload (e.g. roadmap vertices created), for downstream
-	// migration pricing.
-	Cost    map[int]float64
-	Payload map[int]int
-	// Elapsed[taskID] is the time the task actually occupied its worker,
-	// in the report's time units: for the simulator this is identical to
-	// Cost (a task occupies exactly its reported virtual cost); for the
-	// host executor it is the measured wall-clock seconds of the task's
-	// Run call (Cost stays whatever the closure reported, which may be in
-	// different units). Parity contract, asserted in internal/sched's
-	// tests: both backends populate Elapsed for every executed task, and
-	// each worker's Busy equals the sum of its tasks' Elapsed.
-	Elapsed map[int]float64
-	// TaskRegion[taskID] is the executed task's work.Task.Region tag, the
-	// attribution key the online cost model (internal/costmodel) uses to
-	// fold Elapsed into per-region estimates. Tasks tagged work.NoRegion
-	// are recorded as such; untagged producers leave the zero value
-	// (region 0), so only region-tagged phases should be fed to the model.
-	TaskRegion map[int]int
+	// Tasks holds one record per executed task: in execution order for
+	// the simulator, grouped by worker (each worker's in its execution
+	// order) for the host executor. Parity contract, asserted in
+	// internal/sched's tests: both backends record every executed task
+	// exactly once, and each worker's Busy equals the sum of its tasks'
+	// Elapsed.
+	Tasks []TaskRecord
 	// TerminationCost is the virtual time spent detecting global
 	// termination (simulator only; zero when stealing is disabled).
 	TerminationCost float64
 	// Stopped reports that the run was cancelled through Config.Stop
-	// before all tasks executed. Executed tasks' entries in ExecutedBy/
-	// Cost/Payload remain valid; makespans and worker stats cover only
-	// the work done before the stop was observed.
+	// before all tasks executed. Executed tasks' records remain valid;
+	// makespans and worker stats cover only the work done before the
+	// stop was observed.
 	Stopped bool
 }
 
