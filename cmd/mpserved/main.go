@@ -25,6 +25,19 @@ import (
 	"parmp/internal/serve"
 )
 
+// A client that never finishes its request headers, or leaves a
+// keep-alive connection idle, is disconnected instead of holding the
+// connection forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listening server for h with those bounds.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	addr := flag.String("addr", ":8931", "listen address")
 	maxTenants := flag.Int("max-tenants", 8, "engine pool capacity; least-recently-used tenants are evicted beyond it")
@@ -61,7 +74,7 @@ func main() {
 	}
 
 	srv := serve.New(cfg)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -248,6 +248,15 @@ func (s *Snapshot) PRM() *PRMResult { return s.prmRes }
 // result (branches included) is frozen: treat it as read-only.
 func (s *Snapshot) RRT() *RRTResult { return s.rrtRes }
 
+// RunStats returns the snapshot's load-balance accounting — the header
+// its PRM or RRT result embeds. Frozen like the result.
+func (s *Snapshot) RunStats() *RunStats {
+	if s.prmRes != nil {
+		return &s.prmRes.RunStats
+	}
+	return &s.rrtRes.RunStats
+}
+
 // NumNodes returns the number of indexed configurations (roadmap nodes
 // or tree nodes).
 func (s *Snapshot) NumNodes() int {

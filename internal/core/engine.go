@@ -5,7 +5,6 @@ import (
 
 	"parmp/internal/cspace"
 	"parmp/internal/graph"
-	"parmp/internal/metrics"
 	"parmp/internal/prm"
 	"parmp/internal/region"
 	"parmp/internal/repart"
@@ -43,25 +42,16 @@ func roundSalt(round, i int) uint64 {
 // (package parmp) serializes growth and publishes immutable snapshots
 // for concurrent queries.
 type PRMEngine struct {
-	s      *cspace.Space
-	opts   Options
-	pl     *pipeline
-	rg     *region.Graph
+	engineBase
 	params prm.Params
 
 	// data accumulates each region's committed nodes and local edges
 	// across rounds. Edge indices are local to the region's node slice.
 	data []prmRegionData
-	// costAcc accumulates the bounded per-region construct-cost summary
-	// across committed rounds (published as Result().RegionCosts).
-	costAcc []RegionCost
 	// boundary accumulates committed cross-region edges across rounds.
 	boundary []boundaryEdge
-	// repairAcc accumulates committed ApplyDelta repair stats.
-	repairAcc RepairStats
 
-	res   *PRMResult // last committed cumulative result
-	round int        // rounds committed so far
+	res *PRMResult // last committed cumulative result
 }
 
 // NewPRMEngine validates opts, subdivides the C-space and builds the
@@ -88,20 +78,13 @@ func NewPRMEngine(s *cspace.Space, opts Options) (*PRMEngine, error) {
 	}
 	region.NaiveColumnPartition(rg, opts.Procs)
 	e := &PRMEngine{
-		s:       s,
-		opts:    opts,
-		pl:      newPipeline(opts),
-		rg:      rg,
-		params:  prm.Params{SamplesPerRegion: opts.SamplesPerRegion, K: opts.ConnectK, Sampler: opts.Sampler},
-		data:    make([]prmRegionData, rg.NumRegions()),
-		costAcc: make([]RegionCost, rg.NumRegions()),
+		engineBase: newEngineBase(s, opts, rg),
+		params:     prm.Params{SamplesPerRegion: opts.SamplesPerRegion, K: opts.ConnectK, Sampler: opts.Sampler},
+		data:       make([]prmRegionData, rg.NumRegions()),
 	}
-	e.res = &PRMResult{Roadmap: prm.NewRoadmap(), RegionGraph: rg}
+	e.res = &PRMResult{RunStats: RunStats{RegionGraph: rg}, Roadmap: prm.NewRoadmap()}
 	return e, nil
 }
-
-// Rounds returns the number of committed growth rounds.
-func (e *PRMEngine) Rounds() int { return e.round }
 
 // Result returns the cumulative result of all committed rounds. The
 // returned value is immutable: later rounds build a fresh result rather
@@ -125,29 +108,19 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 
 	rb := pl.begin(stop, rg.Owner)
 	defer rb.end()
-
-	var phases PhaseBreakdown
-	if round == 0 {
-		phases.Setup = pl.barrier()
-	}
+	var acct roundAccount
 
 	// --- Sampling phase: fresh per-round streams keep determinism.
-	type roundRegion struct {
-		nodes       []prm.Node
-		sampleWork  cspace.Counters
-		edges       [][2]int
-		connectWork cspace.Counters
-	}
-	fresh := make([]roundRegion, n)
+	fresh := make([]prmRegionData, n)
 	sampleRep := pl.run(phaseSpec{
 		name: "sample",
 		queues: queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
 			return work.Task{
 				ID: i,
 				Run: func() (float64, int) {
-					r := rng.Derive(opts.Seed, roundSalt(round, i))
-					fresh[i].nodes, fresh[i].sampleWork = prm.SampleRegion(e.s, rg.Region(i).Box, i, e.params, r)
-					return opts.Cost.Time(fresh[i].sampleWork), len(fresh[i].nodes)
+					var w cspace.Counters
+					fresh[i].nodes, w = prm.SampleRegion(e.s, rg.Region(i).Box, i, e.params, rng.Derive(opts.Seed, roundSalt(round, i)))
+					return opts.Cost.Time(w), len(fresh[i].nodes)
 				},
 			}
 		}),
@@ -155,7 +128,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	if sampleRep.Stopped || sched.Canceled(stop) {
 		return rb.abort()
 	}
-	phases.Sampling = sampleRep.Makespan + pl.barrier()
+	acct.phases.Sampling = sampleRep.Makespan + pl.barrier()
 	sampleCounts := make([]int, n)
 	for i := 0; i < n; i++ {
 		sampleCounts[i] = len(fresh[i].nodes)
@@ -167,20 +140,15 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	// with the EWMA of the construct costs actually observed in prior
 	// rounds (round 0 passes through unchanged — the cold start).
 	weights := pl.roundWeights(repart.SampleCountWeights(sampleCounts), sampleCounts)
-	if err := rg.SetWeights(weights); err != nil {
+	if err := e.setWeights(weights, &acct); err != nil {
 		return err
 	}
-	cvBefore := metrics.CV(rg.LoadPerProcessor(opts.Procs))
 
 	// --- Optional repartitioning before the expensive phase.
-	migrated := 0
 	if opts.Strategy == Repartition {
 		var cost float64
-		migrated, cost = pl.rebalance(rg, weights, sampleCounts)
-		phases.Redistribution = cost + pl.barrier()
-	}
-	if sched.Canceled(stop) {
-		return rb.abort()
+		acct.migrated, cost = pl.rebalance(rg, weights, sampleCounts)
+		acct.phases.Redistribution = cost + pl.barrier()
 	}
 
 	// --- Node-connection phase (expensive; stealable). Each region
@@ -193,35 +161,19 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 		combined[i] = append(combined[i], e.data[i].nodes...)
 		combined[i] = append(combined[i], fresh[i].nodes...)
 	}
-	constructQueues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
+	if !e.construct(&acct, weights, sampleCounts, saltPRMConstruct, func(i int) work.Task {
 		return work.Task{
 			ID:      i,
 			Payload: len(combined[i]), // stealing this region moves its samples
 			Run: func() (float64, int) {
-				fresh[i].edges, fresh[i].connectWork = prm.ConnectRegionIncremental(e.s, combined[i], firstNew[i], e.params)
-				return opts.Cost.Time(fresh[i].connectWork), len(combined[i])
+				var w cspace.Counters
+				fresh[i].edges, w = prm.ConnectRegionIncremental(e.s, combined[i], firstNew[i], e.params)
+				return opts.Cost.Time(w), len(combined[i])
 			},
 		}
-	})
-	// Optional between-rounds diffusive rebalance: polish the construct
-	// queues along the steal mesh toward the weight equilibrium (after
-	// any bulk repartition, before the phase runs).
-	diffused, diffuseCost := pl.diffuse(rg, constructQueues, weights, sampleCounts)
-	phases.Redistribution += diffuseCost
-	report := pl.run(phaseSpec{
-		name:   "construct",
-		queues: constructQueues,
-		policy: pl.stealPolicy(),
-		salt:   saltPRMConstruct,
-	})
-	if report.Stopped || sched.Canceled(stop) {
+	}) {
 		return rb.abort()
 	}
-	phases.NodeConnection = report.Makespan + pl.barrier()
-
-	// Work stealing permanently migrates the region and its data: record
-	// the final ownership so the region-connection phase sees it.
-	pl.applyOwnership(rg, report)
 
 	// --- Region-connection phase. Each adjacent pair connects its new
 	// nodes against the other side's full node set (new×all plus
@@ -232,7 +184,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	// local or remote access price per connection attempt.
 	brs := make([]prm.BoundaryResult, len(pairs))
 	connLoad := make([]float64, opts.Procs)
-	regionRemote, roadmapRemote := 0, 0
+	roadmapRemote := 0
 	connMakespan, stopped := pl.runPriced("region-connect", len(pairs), func(idx int) float64 {
 		brs[idx] = e.connectPairIncremental(pairs[idx][0], pairs[idx][1], combined, firstNew)
 		return opts.Cost.Time(brs[idx].Work)
@@ -240,7 +192,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 		attempts := brs[idx].Attempts
 		ownerA, ownerB := rg.Owner[pairs[idx][0]], rg.Owner[pairs[idx][1]]
 		if ownerA != ownerB {
-			regionRemote++
+			acct.remote++
 			roadmapRemote += attempts
 			cost += opts.Profile.RemoteAccess * float64(1+attempts)
 		} else {
@@ -256,8 +208,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	if stopped {
 		return rb.abort()
 	}
-	phases.RegionConnection = connMakespan + pl.barrier()
-	phases.Other = pl.barrier()
+	acct.phases.RegionConnection = connMakespan + pl.barrier()
 
 	// --- Commit: append the round's output, rebuild the roadmap, and
 	// publish a fresh cumulative result. Nothing before this point
@@ -266,47 +217,21 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 	for i := 0; i < n; i++ {
 		e.data[i].nodes = combined[i]
 		e.data[i].edges = append(e.data[i].edges, fresh[i].edges...)
-		e.data[i].sampleWork.Add(fresh[i].sampleWork)
-		e.data[i].connectWork.Add(fresh[i].connectWork)
 	}
 	for idx, pr := range pairs {
 		e.boundary = append(e.boundary, boundaryEdge{a: pr[0], b: pr[1], pairs: brs[idx].Edges})
 	}
-	// Feed the committed round's observed construct costs to the cost
-	// model (next round's weights) and the bounded per-region summary.
-	pl.observeConstruct(n, report, sampleCounts)
-	accumulateRegionCosts(e.costAcc, report)
-	e.round++
-
-	prev := e.res
-	res := &PRMResult{
-		Roadmap:         e.mergeRoadmap(),
-		RegionGraph:     rg,
-		ProcStats:       report.Workers,
-		PhaseReports:    pl.reports,
-		EdgeCut:         rg.EdgeCut(),
-		RegionRemote:    prev.RegionRemote + regionRemote,
-		RoadmapRemote:   prev.RoadmapRemote + roadmapRemote,
-		MigratedRegions: prev.MigratedRegions + migrated,
-		DiffusedRegions: prev.DiffusedRegions + diffused,
-		RegionCosts:     append([]RegionCost(nil), e.costAcc...),
-		Repairs:         e.repairAcc,
-		CVBefore:        prev.CVBefore,
+	// The cost model tracks construct cost per fresh sample.
+	e.res = &PRMResult{
+		RunStats:      e.commitRound(&e.res.RunStats, &acct, sampleCounts, e.regionNodes),
+		Roadmap:       e.mergeRoadmap(),
+		RoadmapRemote: e.res.RoadmapRemote + roadmapRemote,
 	}
-	if round == 0 {
-		res.CVBefore = cvBefore
-	}
-	res.Phases = prev.Phases
-	res.Phases.add(phases)
-	res.TotalTime = res.Phases.Total()
-	res.NodeLoads = make([]float64, opts.Procs)
-	for i := 0; i < n; i++ {
-		res.NodeLoads[rg.Owner[i]] += float64(len(e.data[i].nodes))
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
-	e.res = res
 	return nil
 }
+
+// regionNodes is region i's committed node count.
+func (e *PRMEngine) regionNodes(i int) int { return len(e.data[i].nodes) }
 
 // boundaryFrontier caps how many of a region's nodes participate in each
 // cross-region connection attempt (the boundary frontier).

@@ -8,7 +8,6 @@ import (
 	"parmp/internal/repart"
 	"parmp/internal/rng"
 	"parmp/internal/rrt"
-	"parmp/internal/sched"
 	"parmp/internal/work"
 )
 
@@ -30,12 +29,9 @@ import (
 // A TreeEngine is not safe for concurrent use; the serving layer
 // (package parmp) serializes growth and publishes immutable snapshots.
 type TreeEngine struct {
-	s      *cspace.Space
+	engineBase
 	root   cspace.Config
 	goal   cspace.Config // RRT-Connect's goal; nil selects a single-tree variant
-	opts   Options
-	pl     *pipeline
-	rg     *region.Graph
 	params rrt.Params
 	// salt seeds the construct phase's victim randomization; each variant
 	// keeps its own so the virtual times match the one-shot planners.
@@ -53,14 +49,8 @@ type TreeEngine struct {
 	// connections; the per-round union-find is rebuilt from bridges.
 	bridges      [][4]int
 	prunedCycles int
-	// costAcc accumulates the bounded per-region construct-cost summary
-	// across committed rounds (published as Result().RegionCosts).
-	costAcc []RegionCost
-	// repairAcc accumulates committed ApplyDelta repair stats.
-	repairAcc RepairStats
 
-	res   *RRTResult // last committed cumulative result
-	round int
+	res *RRTResult // last committed cumulative result
 }
 
 // NewRRTEngine validates opts and builds the radial subdivision about
@@ -97,23 +87,15 @@ func newTreeEngine(s *cspace.Space, root cspace.Config, opts Options, salt uint6
 	// processor (contiguous blocks of a BFS sweep over the region graph),
 	// mirroring the paper's mesh-aligned distribution.
 	assignContiguous(rg, opts.Procs)
-	n := rg.NumRegions()
 	return &TreeEngine{
-		s:       s,
-		root:    apex,
-		opts:    opts,
-		pl:      newPipeline(opts),
-		rg:      rg,
-		params:  rrt.Params{Nodes: opts.NodesPerRegion, Step: opts.Step, GoalBias: opts.GoalBias},
-		salt:    salt,
-		nodes:   make([]int, n),
-		costAcc: make([]RegionCost, n),
-		res:     &RRTResult{RegionGraph: rg},
+		engineBase: newEngineBase(s, opts, rg),
+		root:       apex,
+		params:     rrt.Params{Nodes: opts.NodesPerRegion, Step: opts.Step, GoalBias: opts.GoalBias},
+		salt:       salt,
+		nodes:      make([]int, rg.NumRegions()),
+		res:        &RRTResult{RunStats: RunStats{RegionGraph: rg}},
 	}, nil
 }
-
-// Rounds returns the number of committed growth rounds.
-func (e *TreeEngine) Rounds() int { return e.round }
 
 // Result returns the cumulative result of all committed rounds. The
 // returned value is immutable — Branches are per-round copies, so
@@ -244,11 +226,7 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 
 	rb := pl.begin(stop, rg.Owner)
 	defer rb.end()
-
-	var phases PhaseBreakdown
-	if round == 0 {
-		phases.Setup = pl.barrier()
-	}
+	var acct roundAccount
 
 	// --- Weight phase with the k-ray estimate (round 0 only: the probe
 	// is a static workspace property, so later rounds reuse the
@@ -257,16 +235,13 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	for i := range weights {
 		weights[i] = 1
 	}
-	migrated := 0
-	cvBefore := prev.CVBefore
 	if round == 0 {
 		if e.s.Dim() == e.s.Env.Dim() {
 			weights = repart.KRayWeights(e.s.Env, rg, kRays, opts.Seed)
 		}
-		if err := rg.SetWeights(weights); err != nil {
+		if err := e.setWeights(weights, &acct); err != nil {
 			return err
 		}
-		cvBefore = metrics.CV(rg.LoadPerProcessor(opts.Procs))
 		if opts.Strategy == Repartition {
 			// The weight pass itself costs k rays per region on the owner.
 			rayCost := float64(kRays) * opts.Cost.CDObstacle * float64(len(e.s.Env.Obstacles)+1)
@@ -275,14 +250,14 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 			if stopped {
 				return rb.abort()
 			}
-			phases.Redistribution = rayMakespan + pl.barrier()
+			acct.phases.Redistribution = rayMakespan + pl.barrier()
 			// Note: unlike PRM there is no balanced-already escape hatch
 			// here — the k-ray estimate CLAIMS imbalance whether or not it
 			// is real, which is the paper's point. Migration proceeds
 			// whenever the estimated loads look improvable.
 			var cost float64
-			migrated, cost = pl.rebalance(rg, weights, nil)
-			phases.Redistribution += cost
+			acct.migrated, cost = pl.rebalance(rg, weights, nil)
+			acct.phases.Redistribution += cost
 		}
 	}
 	// Under the observed cost model, later rounds re-weigh on the EWMA of
@@ -292,19 +267,16 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	// good estimator the k-ray probe is not.
 	if round > 0 && opts.CostModel == CostObserved {
 		weights = pl.roundWeights(weights, nil)
-		if err := rg.SetWeights(weights); err != nil {
+		if err := e.setWeights(weights, &acct); err != nil {
 			return err
 		}
 		if opts.Strategy == Repartition {
 			var cost float64
-			migrated, cost = pl.rebalance(rg, weights, e.nodes)
-			if migrated > 0 {
-				phases.Redistribution = cost + pl.barrier()
+			acct.migrated, cost = pl.rebalance(rg, weights, e.nodes)
+			if acct.migrated > 0 {
+				acct.phases.Redistribution = cost + pl.barrier()
 			}
 		}
-	}
-	if sched.Canceled(stop) {
-		return rb.abort()
 	}
 
 	// --- Region growth phase (expensive; stealable). Each region grows
@@ -313,7 +285,7 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	params := e.params
 	params.Nodes = (round + 1) * opts.NodesPerRegion
 	steps := make([]treeStep, n)
-	constructQueues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
+	if !e.construct(&acct, weights, e.nodes, e.salt, func(i int) work.Task {
 		return work.Task{
 			ID: i,
 			Run: func() (float64, int) {
@@ -321,20 +293,9 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 				return opts.Cost.Time(steps[i].work), steps[i].nodes
 			},
 		}
-	})
-	diffused, diffuseCost := pl.diffuse(rg, constructQueues, weights, e.nodes)
-	phases.Redistribution += diffuseCost
-	report := pl.run(phaseSpec{
-		name:   "construct",
-		queues: constructQueues,
-		policy: pl.stealPolicy(),
-		salt:   e.salt,
-	})
-	if report.Stopped || sched.Canceled(stop) {
+	}) {
 		return rb.abort()
 	}
-	phases.NodeConnection = report.Makespan + pl.barrier()
-	pl.applyOwnership(rg, report)
 
 	// Correlation between weight estimate and measured cost: round 0
 	// (where the static estimate was computed), and every warm round
@@ -343,7 +304,7 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	weightCorr := prev.WeightActualCorr
 	if opts.Strategy == Repartition && (round == 0 || opts.CostModel == CostObserved) {
 		costs := make([]float64, n)
-		for _, tr := range report.Tasks {
+		for _, tr := range acct.construct.Tasks {
 			costs[tr.ID] = tr.Cost
 		}
 		weightCorr = metrics.Pearson(weights, costs)
@@ -358,8 +319,8 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	if conn.stopped {
 		return rb.abort()
 	}
-	phases.RegionConnection = conn.makespan + pl.barrier()
-	phases.Other = pl.barrier()
+	acct.remote = conn.regionRemote
+	acct.phases.RegionConnection = conn.makespan + pl.barrier()
 
 	// --- Commit.
 	rewires := 0
@@ -370,45 +331,34 @@ func (e *TreeEngine) GrowRound(stop <-chan struct{}) error {
 	}
 	e.bridges = append(e.bridges, conn.newBridges...)
 	e.prunedCycles += conn.newPruned
-	pl.observeConstruct(n, report, nil)
-	accumulateRegionCosts(e.costAcc, report)
-	e.round++
-
-	res := &RRTResult{
-		RegionGraph:      rg,
-		Phases:           prev.Phases,
-		ProcStats:        report.Workers,
-		EdgeCut:          rg.EdgeCut(),
-		RegionRemote:     prev.RegionRemote + conn.regionRemote,
-		MigratedRegions:  prev.MigratedRegions + migrated,
-		DiffusedRegions:  prev.DiffusedRegions + diffused,
-		RegionCosts:      append([]RegionCost(nil), e.costAcc...),
-		CVBefore:         cvBefore,
+	e.publish(&RRTResult{
+		RunStats:         e.commitRound(&prev.RunStats, &acct, nil, branchNodes(branches)),
 		Rewires:          prev.Rewires + rewires,
 		WeightActualCorr: weightCorr,
-	}
-	res.Phases.add(phases)
-	e.publish(res, branches)
+	}, branches)
 	return nil
 }
 
-// publish completes res from the engine's committed state — branches,
-// bridges, repair totals, node loads and the RRT-Connect met summary —
-// and installs it as the engine's result.
+// branchNodes returns the published node count of region i: the length
+// of its root-anchored branch (0 before the region's first commit, when
+// the branch, or the whole slice, is nil). Under RRT-Connect that leaves
+// out an unmet goal-side tree, which e.nodes counts.
+func branchNodes(branches []*rrt.Tree) func(i int) int {
+	return func(i int) int {
+		if i >= len(branches) || branches[i] == nil {
+			return 0
+		}
+		return branches[i].Len()
+	}
+}
+
+// publish completes res from the engine's committed branch state —
+// branches, bridges and the RRT-Connect met summary — and installs it as
+// the engine's result.
 func (e *TreeEngine) publish(res *RRTResult, branches []*rrt.Tree) {
 	res.Branches = branches
 	res.Bridges = e.bridges
 	res.PrunedCycles = e.prunedCycles
-	res.PhaseReports = e.pl.reports
-	res.Repairs = e.repairAcc
-	res.TotalTime = res.Phases.Total()
-	res.NodeLoads = make([]float64, e.opts.Procs)
-	for i, t := range branches {
-		if t != nil {
-			res.NodeLoads[e.rg.Owner[i]] += float64(t.Len())
-		}
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
 	res.TreesMet, res.GoalConnected = e.metSummary()
 	e.res = res
 }
@@ -428,53 +378,43 @@ func (e *TreeEngine) publish(res *RRTResult, branches []*rrt.Tree) {
 // the same per-region EWMA as construction, so the next round's
 // repartition sees the mutation's load concentration.
 func (e *TreeEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct{}) (*RRTRepair, error) {
-	pl := e.pl
-	rg := e.rg
-	n := rg.NumRegions()
-
-	rb := pl.begin(stop, nil)
-	defer rb.end()
-
-	out := &RRTRepair{Stats: RepairStats{Deltas: 1}}
-	dc := cspace.NewDeltaChecker(e.s, d)
-	if !dc.Invalidating() {
-		e.s = s
-		e.commitRepair(out.Stats, e.res.Branches)
-		return out, nil
+	n := e.rg.NumRegions()
+	rp := e.beginRepair(stop, d)
+	defer rp.end()
+	if rp.dc == nil {
+		e.publishRepair(s, rp.stats, e.res.Branches)
+		return &RRTRepair{Stats: rp.stats}, nil
 	}
 
-	// --- Prune phase (stealable, region-tagged) over round-local copies.
+	// --- Prune phase over round-local copies.
 	steps := make([]treeStep, n)
-	queues := queuesByOwner(e.opts.Procs, rg.Owner, n, func(i int) work.Task {
+	report, ok := e.runRepair(rp, func(i int) work.Task {
 		return work.Task{
 			ID:      i,
 			Payload: e.nodes[i],
 			Run: func() (float64, int) {
-				steps[i] = e.pruneRegion(i, s, dc)
+				steps[i] = e.pruneRegion(i, s, rp.dc)
 				return e.opts.Cost.Time(steps[i].prune.Work), steps[i].nodes
 			},
 		}
 	})
-	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
-	if report.Stopped || sched.Canceled(stop) {
-		return nil, rb.abort()
+	if !ok {
+		return nil, rp.abort()
 	}
-	makespan := report.Makespan + pl.barrier()
 
 	branches := make([]*rrt.Tree, n)
 	remaps := make([][]int, n)
 	for i := 0; i < n; i++ {
 		branches[i], remaps[i] = steps[i].branch, steps[i].remap
 	}
-	newBridges, removed, bridgeMakespan, stopped := repairBridgeSet(pl, rg.Owner, e.opts, dc, e.bridges, branches, remaps, &out.Stats)
+	st := &rp.stats
+	newBridges, removed, bridgeMakespan, stopped := repairBridgeSet(e.pl, e.rg.Owner, e.opts, rp.dc, e.bridges, branches, remaps, st)
 	if stopped {
-		return nil, rb.abort()
+		return nil, rp.abort()
 	}
-	makespan += bridgeMakespan
+	st.Makespan += bridgeMakespan
 
 	// --- Commit.
-	st := &out.Stats
-	st.Makespan = makespan
 	for i := 0; i < n; i++ {
 		ps := steps[i].prune
 		st.CheckedNodes += ps.CheckedNodes
@@ -487,22 +427,18 @@ func (e *TreeEngine) ApplyDelta(s *cspace.Space, d env.Delta, stop <-chan struct
 			e.nodes[i] = steps[i].nodes
 		}
 	}
-	out.BranchRemaps = remaps
-	out.RemovedBridges = removed
 	st.RemovedEdges += removed
 	e.bridges = newBridges
-	pl.observeConstruct(n, report, nil)
-	e.s = s
-	e.commitRepair(out.Stats, branches)
-	return out, nil
+	e.pl.observeConstruct(n, report, nil)
+	e.publishRepair(s, *st, branches)
+	return &RRTRepair{Stats: *st, BranchRemaps: remaps, RemovedBridges: removed}, nil
 }
 
-// commitRepair folds one repair's stats into the engine accumulator and
-// publishes a fresh result over the repaired branches.
-func (e *TreeEngine) commitRepair(st RepairStats, branches []*rrt.Tree) {
-	e.repairAcc.Add(st)
+// publishRepair commits one repair pass over the repaired branches and
+// publishes a fresh result.
+func (e *TreeEngine) publishRepair(s *cspace.Space, st RepairStats, branches []*rrt.Tree) {
 	res := *e.res
-	res.Phases.Repair += st.Makespan
+	e.commitRepair(s, &res.RunStats, st, branchNodes(branches))
 	e.publish(&res, branches)
 }
 

@@ -5,9 +5,7 @@ import (
 
 	"parmp/internal/cspace"
 	"parmp/internal/env"
-	"parmp/internal/metrics"
 	"parmp/internal/prm"
-	"parmp/internal/sched"
 	"parmp/internal/work"
 )
 
@@ -103,17 +101,13 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	rg := e.rg
 	n := rg.NumRegions()
 
-	rb := pl.begin(stop, nil)
-	defer rb.end()
-
-	out := &PRMRepair{Stats: RepairStats{Deltas: 1}}
-	dc := cspace.NewDeltaChecker(e.s, d)
-	if !dc.Invalidating() {
+	rp := e.beginRepair(stop, d)
+	defer rp.end()
+	if rp.dc == nil {
 		// Removal-only (or empty) delta: nothing to re-check. The world
 		// still changes — future sampling sees the freed space.
-		e.s = s
-		e.commitRepair(out.Stats)
-		return out, nil
+		e.publishRepair(s, rp.stats)
+		return &PRMRepair{Stats: rp.stats}, nil
 	}
 
 	// Split the global candidate list into per-region local indices
@@ -136,9 +130,9 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 		}
 	}
 
-	// --- Repair phase (stealable, region-tagged).
+	// --- Repair phase.
 	rrs := make([]prm.RegionRepair, n)
-	queues := queuesByOwner(opts.Procs, rg.Owner, n, func(i int) work.Task {
+	if _, ok := e.runRepair(rp, func(i int) work.Task {
 		return work.Task{
 			ID:      i,
 			Payload: len(e.data[i].nodes),
@@ -150,16 +144,13 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 						cand = []int{} // non-nil empty: nothing to re-check here
 					}
 				}
-				rrs[i] = prm.RevalidateRegion(dc, e.data[i].nodes, e.data[i].edges, cand)
+				rrs[i] = prm.RevalidateRegion(rp.dc, e.data[i].nodes, e.data[i].edges, cand)
 				return opts.Cost.Time(rrs[i].Work), len(e.data[i].nodes)
 			},
 		}
-	})
-	report := pl.run(phaseSpec{name: "repair", queues: queues, policy: pl.stealPolicy(), salt: saltRepair})
-	if report.Stopped || sched.Canceled(stop) {
-		return nil, rb.abort()
+	}); !ok {
+		return nil, rp.abort()
 	}
-	makespan := report.Makespan + pl.barrier()
 
 	// --- Boundary-edge revalidation: an edge between two regions can
 	// cross the delta even when both regions' own repair was empty.
@@ -179,12 +170,12 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 			}
 			qa := e.data[be.a].nodes[pr[0]].Q
 			qb := e.data[be.b].nodes[pr[1]].Q
-			if !dc.EdgeAffected(qa, qb) {
+			if !rp.dc.EdgeAffected(qa, qb) {
 				br.keep[k] = true
 				continue
 			}
 			br.checked++
-			if dc.EdgeStillFree(qa, qb, &br.work) {
+			if rp.dc.EdgeStillFree(qa, qb, &br.work) {
 				br.keep[k] = true
 			} else {
 				br.removed++
@@ -194,14 +185,13 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 		return opts.Cost.Time(br.work)
 	}, func(idx int, cost float64) (int, float64) { return rg.Owner[e.boundary[idx].a], cost })
 	if stopped {
-		return nil, rb.abort()
+		return nil, rp.abort()
 	}
-	makespan += bmakespan + pl.barrier()
+	st := &rp.stats
+	st.Makespan += bmakespan + pl.barrier()
 
 	// --- Commit: compact every region's data, remap boundary pairs,
 	// rebuild the merged roadmap. Nothing above mutated committed state.
-	st := &out.Stats
-	st.Makespan = makespan
 	touched := map[int]bool{}
 	remaps := make([][]int, n)
 	for i := 0; i < n; i++ {
@@ -262,7 +252,7 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	}
 	e.boundary = newBoundary
 
-	out.VertexRemap = make([]int, total)
+	out := &PRMRepair{VertexRemap: make([]int, total)}
 	newBase := 0
 	for i := 0; i < n; i++ {
 		for l, nw := range remaps[i] {
@@ -279,27 +269,17 @@ func (e *PRMEngine) ApplyDelta(s *cspace.Space, d env.Delta, candidates []int, s
 	}
 	sort.Ints(out.TouchedVertices)
 
-	e.s = s
-	e.commitRepair(out.Stats)
+	out.Stats = *st
+	e.publishRepair(s, out.Stats)
 	return out, nil
 }
 
-// commitRepair folds one repair's stats into the engine accumulator and
-// publishes a fresh result over the repaired data (same immutability
-// contract as GrowRound's commit).
-func (e *PRMEngine) commitRepair(st RepairStats) {
-	e.repairAcc.Add(st)
-	prev := e.res
-	res := *prev
+// publishRepair commits one repair pass and publishes a fresh result
+// over the repaired data (same immutability contract as GrowRound's
+// commit).
+func (e *PRMEngine) publishRepair(s *cspace.Space, st RepairStats) {
+	res := *e.res
+	e.commitRepair(s, &res.RunStats, st, e.regionNodes)
 	res.Roadmap = e.mergeRoadmap()
-	res.Phases.Repair += st.Makespan
-	res.TotalTime = res.Phases.Total()
-	res.PhaseReports = e.pl.reports
-	res.Repairs = e.repairAcc
-	res.NodeLoads = make([]float64, e.opts.Procs)
-	for i := 0; i < e.rg.NumRegions(); i++ {
-		res.NodeLoads[e.rg.Owner[i]] += float64(len(e.data[i].nodes))
-	}
-	res.CVAfter = metrics.CV(res.NodeLoads)
 	e.res = &res
 }

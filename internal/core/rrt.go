@@ -4,11 +4,12 @@ import (
 	"parmp/internal/cspace"
 	"parmp/internal/region"
 	"parmp/internal/rrt"
-	"parmp/internal/sched"
 )
 
-// RRTResult is the outcome of a parallel radial RRT run.
+// RRTResult is the outcome of a parallel radial RRT run: the shared
+// run-stats header plus the branches and their connections.
 type RRTResult struct {
+	RunStats
 	// Branches holds each region's grown subtree, indexed by region ID.
 	Branches []*rrt.Tree
 	// Bridges are successful cross-region connections (regionA, nodeA,
@@ -18,26 +19,6 @@ type RRTResult struct {
 	// PrunedCycles counts bridge candidates discarded to keep the
 	// region-level structure a tree.
 	PrunedCycles int
-
-	RegionGraph *region.Graph
-	Phases      PhaseBreakdown
-	TotalTime   float64
-	ProcStats   []sched.WorkerStats
-	// PhaseReports holds every phase's virtual-time runtime report, in
-	// replay order (see PRMResult.PhaseReports).
-	PhaseReports []PhaseReport
-	// NodeLoads[p] counts tree nodes on processor p after the run.
-	NodeLoads         []float64
-	CVBefore, CVAfter float64
-	RegionRemote      int
-	EdgeCut           int
-	MigratedRegions   int
-	// DiffusedRegions counts ownership transfers due to the
-	// between-rounds diffusive rebalance (Options.Rebalance).
-	DiffusedRegions int
-	// RegionCosts[i] summarizes region i's observed construct-phase task
-	// costs over all committed rounds (see PRMResult.RegionCosts).
-	RegionCosts []RegionCost
 	// Rewires counts RRT* parent improvements (0 for plain RRT).
 	Rewires int
 	// TreesMet counts regions whose RRT-Connect tree pairs have bridged
@@ -53,9 +34,6 @@ type RRTResult struct {
 	// that the estimator is poor (only populated when Strategy is
 	// Repartition).
 	WeightActualCorr float64
-	// Repairs summarizes the incremental-repair work committed by
-	// ApplyDelta calls (zero while the world never mutates).
-	Repairs RepairStats
 }
 
 // TotalNodes sums the nodes of all branches.

@@ -7,7 +7,8 @@ import (
 	"parmp"
 )
 
-// request is one admitted query waiting in a tenant's queue.
+// request is one query: admitted to a tenant's queue (ctx and resp
+// set), or one entry of a client-side batch.
 type request struct {
 	ctx         context.Context
 	key         string // cache key
@@ -107,55 +108,60 @@ func (t *tenant) coalesce(batch []*request) []*request {
 }
 
 // serveBatch answers every request in batch against one snapshot:
-// expired requests are failed, cache hits answered immediately (the
-// entry may have appeared since admission), and the remaining misses go
-// through Snapshot.QueryBatch grouped by k. Positive answers are
-// inserted into the path cache tagged with the snapshot's round, so a
-// concurrent rollover drops rather than poisons them.
+// expired requests are failed and the rest go through answer. Every
+// answer reports the whole coalesced batch's size.
 func (t *tenant) serveBatch(batch []*request) {
 	snap := t.eng.Snapshot()
-	// Generation, not rounds: a mutate publishes a repaired snapshot
-	// without growing, and pre-mutation paths must not survive it.
-	gen := int64(snap.Generation())
 	rounds := snap.Rounds()
 	size := len(batch)
-	var misses []*request
+	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
 		if r.ctx.Err() != nil {
 			t.rejected.Add(1)
 			r.respond(response{err: r.ctx.Err()})
 			continue
 		}
-		if path, ok := t.cache.get(r.key, gen); ok {
-			t.cacheHits.Add(1)
-			r.respond(response{path: path, ok: true, cacheHit: true, batchSize: size, rounds: rounds})
-			continue
-		}
-		misses = append(misses, r)
+		live = append(live, r)
 	}
-	if len(misses) == 0 {
-		return
-	}
+	t.answer(snap, live, func(i int, path []parmp.Config, ok bool, group int) {
+		live[i].respond(response{path: path, ok: ok, cacheHit: group == 0, batchSize: size, rounds: rounds})
+	})
+}
+
+// answer resolves qs against snap: the miss path shared by coalesced
+// /v1/query batches and client /v1/batch requests. Cache hits answer
+// first; misses go through one Snapshot.QueryBatch per distinct k, and
+// positive answers are cached under the snapshot's generation (not its
+// rounds: a mutate publishes without growing), so a concurrent rollover
+// drops rather than poisons them. reply gets query i's answer and the
+// size of the k-group that computed it (0 for a cache hit).
+func (t *tenant) answer(snap *parmp.Snapshot, qs []*request, reply func(i int, path []parmp.Config, ok bool, group int)) {
+	gen := int64(snap.Generation())
 	// k is almost always the default, but a mixed batch still answers
 	// correctly: one sub-batch per distinct k.
-	byK := make(map[int][]*request, 1)
-	for _, r := range misses {
-		byK[r.k] = append(byK[r.k], r)
+	byK := make(map[int][]int, 1)
+	for i, q := range qs {
+		if path, ok := t.cache.get(q.key, gen); ok {
+			t.cacheHits.Add(1)
+			reply(i, path, true, 0)
+			continue
+		}
+		byK[q.k] = append(byK[q.k], i)
 	}
-	for k, group := range byK {
-		starts := make([]parmp.Config, len(group))
-		goals := make([]parmp.Config, len(group))
-		for i, r := range group {
-			starts[i], goals[i] = r.start, r.goal
+	for k, idxs := range byK {
+		starts := make([]parmp.Config, len(idxs))
+		goals := make([]parmp.Config, len(idxs))
+		for j, i := range idxs {
+			starts[j], goals[j] = qs[i].start, qs[i].goal
 		}
 		paths, oks := snap.QueryBatch(starts, goals, k)
 		t.batches.Add(1)
-		t.batched.Add(int64(len(group)))
-		for i, r := range group {
-			if oks[i] {
-				t.cache.put(r.key, gen, paths[i])
+		t.batched.Add(int64(len(idxs)))
+		for j, i := range idxs {
+			if oks[j] {
+				t.cache.put(qs[i].key, gen, paths[j])
 			}
-			r.respond(response{path: paths[i], ok: oks[i], batchSize: size, rounds: rounds})
+			reply(i, paths[j], oks[j], len(idxs))
 		}
 	}
 }

@@ -339,48 +339,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := t.eng.Snapshot()
-	gen := int64(snap.Generation())
 	rounds := snap.Rounds()
 	grown := t.growDone.Load()
-	results := make([]QueryResponse, len(br.Queries))
 	t.queries.Add(int64(len(br.Queries)))
-
-	// Cache pass, then one QueryBatch per distinct k over the misses.
-	byK := make(map[int][]int, 1)
-	keys := make([]string, len(br.Queries))
+	qs := make([]*request, len(br.Queries))
 	for i, q := range br.Queries {
 		k := q.K
 		if k == 0 {
 			k = s.cfg.DefaultK
 		}
-		keys[i] = cacheKey(parmp.Config(q.Start), parmp.Config(q.Goal), k)
-		if path, ok := t.cache.get(keys[i], gen); ok {
-			t.cacheHits.Add(1)
-			results[i] = QueryResponse{OK: true, Path: pathFloats(path), Rounds: rounds, GrowDone: grown, CacheHit: true}
-			continue
-		}
-		byK[k] = append(byK[k], i)
+		start, goal := parmp.Config(q.Start), parmp.Config(q.Goal)
+		qs[i] = &request{key: cacheKey(start, goal, k), start: start, goal: goal, k: k}
 	}
-	for k, idxs := range byK {
-		starts := make([]parmp.Config, len(idxs))
-		goals := make([]parmp.Config, len(idxs))
-		for j, i := range idxs {
-			starts[j] = parmp.Config(br.Queries[i].Start)
-			goals[j] = parmp.Config(br.Queries[i].Goal)
+	results := make([]QueryResponse, len(qs))
+	t.answer(snap, qs, func(i int, path []parmp.Config, ok bool, group int) {
+		results[i] = QueryResponse{
+			OK: ok, Path: pathFloats(path),
+			Rounds: rounds, GrowDone: grown,
+			CacheHit: group == 0, BatchSize: group,
 		}
-		paths, oks := snap.QueryBatch(starts, goals, k)
-		t.batches.Add(1)
-		t.batched.Add(int64(len(idxs)))
-		for j, i := range idxs {
-			if oks[j] {
-				t.cache.put(keys[i], gen, paths[j])
-			}
-			results[i] = QueryResponse{
-				OK: oks[j], Path: pathFloats(paths[j]),
-				Rounds: rounds, GrowDone: grown, BatchSize: len(idxs),
-			}
-		}
-	}
+	})
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results, ServeUS: us(time.Since(t0))})
 }
 

@@ -336,12 +336,7 @@ func (p *Pool) Stats() []TenantStats {
 				st.Generation = snap.Generation()
 				st.Repairs = t.repairs.Load()
 				st.RepairUS = float64(t.repairUS.Load())
-				var rep parmp.RepairStats
-				if r := snap.PRM(); r != nil {
-					rep = r.Repairs
-				} else if r := snap.RRT(); r != nil {
-					rep = r.Repairs
-				}
+				rep := snap.RunStats().Repairs
 				st.RepairMakespan = rep.Makespan
 				st.RepairRemoved = rep.RemovedNodes + rep.RemovedEdges
 				if pf, ok := t.eng.(*parmp.Portfolio); ok {

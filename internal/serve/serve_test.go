@@ -218,6 +218,48 @@ func TestServeBatchEndpoint(t *testing.T) {
 	}
 }
 
+// batch_size reporting: a /v1/batch miss reports the size of its per-k
+// group, a /v1/batch cache hit reports 0, and a /v1/query miss reports
+// the coalesced batch it rode in.
+func TestServeBatchSizeReported(t *testing.T) {
+	srv := New(testConfig())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	far := []float64{0.95, 0.95, 0.95}
+	postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{Spec: testSpec(),
+		Queries: []BatchQuery{{Start: []float64{0.05, 0.05, 0.05}, Goal: far}}}, nil)
+	waitGrown(t, ts.Client(), ts.URL, 10*time.Second)
+
+	queries := []BatchQuery{
+		{Start: []float64{0.1, 0.9, 0.1}, Goal: far},
+		{Start: []float64{0.9, 0.1, 0.1}, Goal: far},
+		{Start: []float64{0.1, 0.1, 0.9}, Goal: far, K: 5}, // its own k group
+	}
+	var miss, hit BatchResponse
+	postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{Spec: testSpec(), Queries: queries}, &miss)
+	postJSON(t, ts.Client(), ts.URL+"/v1/batch", BatchRequest{Spec: testSpec(), Queries: queries}, &hit)
+	if len(miss.Results) != 3 || len(hit.Results) != 3 {
+		t.Fatalf("results: %d then %d, want 3", len(miss.Results), len(hit.Results))
+	}
+	for i, want := range []int{2, 2, 1} {
+		if r := miss.Results[i]; r.CacheHit || r.BatchSize != want {
+			t.Errorf("first batch query %d: cache_hit %t batch_size %d, want miss in a group of %d", i, r.CacheHit, r.BatchSize, want)
+		}
+		// Positive answers were cached: the repeat answers from cache.
+		if r := hit.Results[i]; miss.Results[i].OK && (!r.CacheHit || r.BatchSize != 0) {
+			t.Errorf("repeat batch query %d: cache_hit %t batch_size %d, want a hit with 0", i, r.CacheHit, r.BatchSize)
+		}
+	}
+
+	var qr QueryResponse
+	postJSON(t, ts.Client(), ts.URL+"/v1/query", QueryRequest{Spec: testSpec(), Start: []float64{0.9, 0.9, 0.1}, Goal: far}, &qr)
+	if qr.CacheHit || qr.BatchSize < 1 {
+		t.Errorf("query: cache_hit %t batch_size %d, want a miss in a batch of at least 1", qr.CacheHit, qr.BatchSize)
+	}
+}
+
 // Concurrent clients on one tenant: everything answers, batches form,
 // and the cache serves repeats. This is the coalescing path under real
 // contention.

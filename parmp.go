@@ -59,6 +59,8 @@ type (
 	PRMResult = core.PRMResult
 	// RRTResult is the outcome of PlanRRT.
 	RRTResult = core.RRTResult
+	// RunStats is the load-balance accounting header both results embed.
+	RunStats = core.RunStats
 	// PhaseBreakdown reports virtual time per pipeline phase.
 	PhaseBreakdown = core.PhaseBreakdown
 	// Environment is a workspace with obstacles.
