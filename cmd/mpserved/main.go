@@ -25,17 +25,19 @@ import (
 	"parmp/internal/serve"
 )
 
-// A client that never finishes its request headers, or leaves a
-// keep-alive connection idle, is disconnected instead of holding the
-// connection forever.
+// A client that never finishes its request headers or its request body
+// (at most 1 MiB), or leaves a keep-alive connection idle, is
+// disconnected instead of holding the connection forever.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
 // newHTTPServer builds the listening server for h with those bounds.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 func main() {

@@ -13,6 +13,9 @@ func TestHTTPServerBoundsConnections(t *testing.T) {
 	if hs.ReadHeaderTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
 	}
+	if hs.ReadTimeout < hs.ReadHeaderTimeout {
+		t.Errorf("ReadTimeout = %v, want a bound no shorter than ReadHeaderTimeout %v", hs.ReadTimeout, hs.ReadHeaderTimeout)
+	}
 	if hs.IdleTimeout <= 0 {
 		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)
 	}

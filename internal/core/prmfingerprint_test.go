@@ -86,7 +86,7 @@ func TestPRMEngineFingerprint(t *testing.T) {
 		t.Run(lb, func(t *testing.T) {
 			// The host pre-pass must change wall clock only.
 			for _, hw := range []int{1, 2} {
-				if got, want := prmFingerprintRun(t, balancers[lb], hw), prmFingerprintGolden[lb]; got != want {
+				if got, want := prmFingerprintRun(t, env.MedCube(), cubeMove, balancers[lb], hw), prmFingerprintGolden[lb]; got != want {
 					t.Errorf("HostWorkers=%d: fingerprint changed\n got:\n%s\nwant:\n%s", hw, got, want)
 				}
 			}
@@ -94,12 +94,50 @@ func TestPRMEngineFingerprint(t *testing.T) {
 	}
 }
 
-// prmFingerprintRun grows a PRM engine under one balancer with hw host
-// workers — three rounds, a moved-blocker repair, one more round — and
-// returns the fingerprints after the repair and after the last round.
-func prmFingerprintRun(t *testing.T, balance func(*Options), hw int) string {
+// TestPRMEngineFingerprintMixed pins PRMEngine bit for bit on the
+// cluttered mixed world (216 boxes), whose collision checks run through
+// the obstacle broadphase: the same three rounds, moved-blocker repair
+// and final round as TestPRMEngineFingerprint.
+func TestPRMEngineFingerprintMixed(t *testing.T) {
+	for _, hw := range []int{1, 2} {
+		if got := prmFingerprintRun(t, env.Mixed(), mixedMove, func(*Options) {}, hw); got != prmFingerprintMixedGolden {
+			t.Errorf("HostWorkers=%d: fingerprint changed\n got:\n%s\nwant:\n%s", hw, got, prmFingerprintMixedGolden)
+		}
+	}
+}
+
+// blockerMove is the obstacle a fingerprint's repair moves, and how far.
+type blockerMove struct {
+	index int
+	by    geom.Vec
+}
+
+var (
+	// cubeMove shifts the single cube.
+	cubeMove = blockerMove{0, geom.V(-0.15, 0.1, 0)}
+	// mixedMove shifts a box in the sparse half of the mixed lattice,
+	// sweeping free space the roadmap and trees occupy.
+	mixedMove = blockerMove{144, geom.V(0.04, 0.06, 0)}
+)
+
+// moveBlocker returns a clone of base with the blocker moved, and the
+// move's delta.
+func moveBlocker(t *testing.T, base *env.Environment, m blockerMove) (*env.Environment, env.Delta) {
 	t.Helper()
-	base := env.MedCube()
+	mutated := base.Clone()
+	d, err := mutated.MoveObstacle(m.index, m.by)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mutated, d
+}
+
+// prmFingerprintRun grows a PRM engine on base under one balancer with
+// hw host workers — three rounds, a repair applying move, one more
+// round — and returns the fingerprints after the repair and after the
+// last round.
+func prmFingerprintRun(t *testing.T, base *env.Environment, move blockerMove, balance func(*Options), hw int) string {
+	t.Helper()
 	s := cspace.NewPointSpace(base)
 	opts := quickOpts(4, 32)
 	opts.SamplesPerRegion = 6
@@ -114,11 +152,7 @@ func prmFingerprintRun(t *testing.T, balance func(*Options), hw int) string {
 			t.Fatal(err)
 		}
 	}
-	mutated := base.Clone()
-	d, err := mutated.MoveObstacle(0, geom.V(-0.15, 0.1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mutated, d := moveBlocker(t, base, move)
 	rep, err := eng.ApplyDelta(s.WithEnv(mutated), d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -184,3 +218,22 @@ repairs=1,57,17,57,276,0,4080280000000000,cd=160 obst=247 lp=17/103 knn=0/0 samp
 loads=[170 134 120 179] cv=3fd05b25592bcf05,3fc4c68b1dd58e5b remote=140,227
 migrated=0 diffused=12`,
 }
+
+// prmFingerprintMixedGolden is TestPRMEngineFingerprintMixed's expected
+// fingerprint.
+const prmFingerprintMixedGolden = `remap=457d36efcf02c5fe
+roadmap=237,441 coords=65c5f4c9f700210d
+phases=4049000000000000,40d135f999999999,0,411e670e7ae147af,410cbe02e147ae14,405ae00000000000,4062c00000000000
+reports=sample:40b6b74ccccccccc construct:4104c0451eb851ec region-connect:40e909928f5c28f5 sample:40b6be4ccccccccc construct:4104e98d1eb851eb region-connect:40f6e267ae147ae0 sample:40b6cc4ccccccccc construct:41031f9ab851eb86 region-connect:40f60b74cccccccd repair:0 repair-boundary:401e000000000000
+region-costs=9d326f93b8bda4bc
+repairs=1,0,1,0,1,0,405ae00000000000,cd=2 obst=3 lp=1/2 knn=0/0 samples=0
+loads=[22 15 54 146] cv=3fec5a2167edbdcd,3fec310dc14cfe9f remote=81,109
+migrated=0 diffused=0
+--
+roadmap=324,653 coords=732cb007864a6d48
+phases=4049000000000000,40d6e2accccccccc,0,4123add2147ae148,41131a3733333333,405ae00000000000,4069000000000000
+reports=sample:40b6b74ccccccccc construct:4104c0451eb851ec region-connect:40e909928f5c28f5 sample:40b6be4ccccccccc construct:4104e98d1eb851eb region-connect:40f6e267ae147ae0 sample:40b6cc4ccccccccc construct:41031f9ab851eb86 region-connect:40f60b74cccccccd repair:0 repair-boundary:401e000000000000 sample:40b680cccccccccc construct:4101e79b5c28f5c3 region-connect:40f2e9b70a3d70a5
+region-costs=f1678f6d00221de4
+repairs=1,0,1,0,1,0,405ae00000000000,cd=2 obst=3 lp=1/2 knn=0/0 samples=0
+loads=[30 24 78 192] cv=3fec5a2167edbdcd,3feaa23bc4f7af90 remote=108,170
+migrated=0 diffused=0`

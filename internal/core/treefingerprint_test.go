@@ -83,7 +83,7 @@ func TestTreeEngineFingerprint(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				// The host pre-pass must change wall clock only.
 				for _, hw := range []int{1, 2} {
-					if got, want := fingerprintRun(t, variant, balancers[lb], hw), treeFingerprintGolden[name]; got != want {
+					if got, want := fingerprintRun(t, cubeTreeWorld, variant, balancers[lb], hw), treeFingerprintGolden[name]; got != want {
 						t.Errorf("HostWorkers=%d: fingerprint changed\n got:\n%s\nwant:\n%s", hw, got, want)
 					}
 				}
@@ -92,13 +92,39 @@ func TestTreeEngineFingerprint(t *testing.T) {
 	}
 }
 
-// fingerprintRun grows one variant under one balancer with hw host
-// workers — three rounds, a moved-blocker repair, one more round — and
-// returns the fingerprints after the repair and after the last round.
-func fingerprintRun(t *testing.T, variant string, balance func(*Options), hw int) string {
+// TestTreeEngineFingerprintMixed pins the RRT-Connect engine bit for
+// bit on the cluttered mixed world (216 boxes), whose collision checks
+// run through the obstacle broadphase: the same three rounds,
+// moved-blocker repair and final round as TestTreeEngineFingerprint.
+func TestTreeEngineFingerprintMixed(t *testing.T) {
+	for _, hw := range []int{1, 2} {
+		if got := fingerprintRun(t, mixedTreeWorld, "connect", func(*Options) {}, hw); got != treeFingerprintMixedGolden {
+			t.Errorf("HostWorkers=%d: fingerprint changed\n got:\n%s\nwant:\n%s", hw, got, treeFingerprintMixedGolden)
+		}
+	}
+}
+
+// treeWorld is a tree fingerprint's world, its root and goal, and the
+// move its repair applies.
+type treeWorld struct {
+	build      func() *env.Environment
+	root, goal geom.Vec
+	move       blockerMove
+}
+
+var (
+	cubeTreeWorld  = treeWorld{env.SmallCube, geom.V(0.1, 0.1, 0.1), geom.V(0.65, 0.7, 0.4), cubeMove}
+	mixedTreeWorld = treeWorld{env.Mixed, geom.V(0.9, 0.1, 0.1), geom.V(0.7, 0.9, 0.5), mixedMove}
+)
+
+// fingerprintRun grows one variant in world w under one balancer with
+// hw host workers — three rounds, a moved-blocker repair, one more
+// round — and returns the fingerprints after the repair and after the
+// last round.
+func fingerprintRun(t *testing.T, w treeWorld, variant string, balance func(*Options), hw int) string {
 	t.Helper()
-	root, goal := geom.V(0.1, 0.1, 0.1), geom.V(0.65, 0.7, 0.4)
-	base := env.SmallCube()
+	root, goal := w.root, w.goal
+	base := w.build()
 	s := cspace.NewPointSpace(base)
 	opts := repairRRTOpts(4, 16)
 	opts.Star = variant == "star"
@@ -124,11 +150,7 @@ func fingerprintRun(t *testing.T, variant string, balance func(*Options), hw int
 			t.Fatal(err)
 		}
 	}
-	mutated := base.Clone()
-	d, err := mutated.MoveObstacle(0, geom.V(-0.15, 0.1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mutated, d := moveBlocker(t, base, w.move)
 	rep, err := eng.ApplyDelta(s.WithEnv(mutated), d, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -309,3 +331,24 @@ repairs=1,9,0,11,1,0,40767e6666666666,cd=53 obst=89 lp=8/44 knn=2/20 samples=0
 loads=[56 72 47 86] cv=3fe5095601c1e020,3fcd56dedc3094b4 corr=0 remote=93
 migrated=0 diffused=12`,
 }
+
+// treeFingerprintMixedGolden is TestTreeEngineFingerprintMixed's
+// expected fingerprint.
+const treeFingerprintMixedGolden = `remaps=802686ade0d34e99 removed-bridges=0
+nodes=16,1,1,5,31,5,7,11,5,23,5,5,34,6,3,7
+coords=066b9db0f91c8cf6
+bridges=[[0 12 4 3] [0 13 8 2] [1 0 2 0] [1 0 4 0] [1 0 13 0] [2 0 14 0] [3 2 5 2] [3 2 8 3] [3 2 11 1] [3 2 10 1] [5 2 6 1] [6 4 9 0] [6 4 7 8] [6 4 15 4] [7 2 12 26]] pruned=81
+rewires=0 met=13 goal=false
+phases=4049000000000000,0,0,4141ab2cf5c28f5c,410a3cba66666667,4061400000000000,4062c00000000000
+repairs=1,0,1,0,0,0,4061400000000000,cd=12 obst=24 lp=1/12 knn=0/0 samples=0
+loads=[49 19 40 57] cv=3fe573436aeb02da,3fd601bc63563990 corr=0 remote=69
+migrated=0 diffused=0
+--
+nodes=16,1,1,5,31,5,7,11,5,23,5,5,34,6,3,7
+coords=066b9db0f91c8cf6
+bridges=[[0 12 4 3] [0 13 8 2] [1 0 2 0] [1 0 4 0] [1 0 13 0] [2 0 14 0] [3 2 5 2] [3 2 8 3] [3 2 11 1] [3 2 10 1] [5 2 6 1] [6 4 9 0] [6 4 7 8] [6 4 15 4] [7 2 12 26]] pruned=113
+rewires=0 met=13 goal=false
+phases=4049000000000000,0,0,414ccf5b451eb852,41115fb39999999a,4061400000000000,4069000000000000
+repairs=1,0,1,0,0,0,4061400000000000,cd=12 obst=24 lp=1/12 knn=0/0 samples=0
+loads=[49 19 40 57] cv=3fe573436aeb02da,3fd601bc63563990 corr=0 remote=92
+migrated=0 diffused=0`

@@ -6,10 +6,12 @@ import (
 	"parmp/internal/geom"
 )
 
-// BatchScratch holds the gather buffers the SoA batch queries fall back
+// BatchScratch holds the SoA batch queries' reusable buffers: the
+// broadphase candidate list and the gather buffers the queries fall back
 // to when an obstacle type has no column kernel. The zero value is ready
 // to use; a scratch is not safe for concurrent use.
 type BatchScratch struct {
+	cand   []int32
 	pa, pb geom.Vec
 }
 
@@ -47,7 +49,8 @@ func (sc *BatchScratch) gatherB(cols [][]float64, i, d int) geom.Vec {
 // one sweep per obstacle with the obstacle's concrete type resolved
 // once per sweep instead of once per point, so the inner loops run over
 // contiguous per-dimension columns with no interface dispatch. The
-// batch fails fast on the first hit.
+// broadphase culls the obstacles each run of nearby points is tested
+// against (see sweepBatch).
 //
 // Parity contract with the scalar loop: the accept/reject outcome is
 // identical to running CheckPoint over every point, and on an all-free
@@ -71,59 +74,113 @@ func (e *Environment) CheckPointsSoA(cols [][]float64, n int, sc *BatchScratch) 
 			}
 		}
 	}
-	for _, o := range e.Obstacles {
-		switch ob := o.(type) {
-		case BoxObstacle:
-			if hit, i := boxContainsAny(ob.Box, cols, n); hit {
-				return false, tests + i + 1
-			}
-		case SphereObstacle:
-			if hit, i := sphereContainsAny(ob, cols, n); hit {
-				return false, tests + i + 1
-			}
-		default:
-			for i := 0; i < n; i++ {
-				if o.Contains(sc.gatherA(cols, i, d)) {
-					return false, tests + i + 1
-				}
-			}
-		}
-		tests += n
-	}
-	return true, tests
+	return e.sweepBatch(cols, nil, n, sc)
 }
 
 // SegmentsFreeSoA is the batched SegmentFree: segment i runs from
 // (acols[0][i], …) to (bcols[0][i], …) for i < n. Bounds containment of
 // the endpoints is the caller's concern, as with SegmentFree. The
-// sweep is obstacle-major and fails fast on the first hit; the parity
-// contract matches CheckPointsSoA (identical outcome, test counts sum
-// exactly on an all-free batch).
+// sweep is obstacle-major; the parity contract matches CheckPointsSoA
+// (identical outcome, test counts sum exactly on an all-free batch).
 func (e *Environment) SegmentsFreeSoA(acols, bcols [][]float64, n int, sc *BatchScratch) (free bool, tests int) {
 	if n == 0 {
 		return true, 0
 	}
-	d := e.Dim()
-	for _, o := range e.Obstacles {
-		switch ob := o.(type) {
-		case BoxObstacle:
-			if hit, i := boxSegmentHitsAny(ob.Box, acols, bcols, n); hit {
-				return false, tests + i + 1
-			}
-		case SphereObstacle:
-			if hit, i := sphereSegmentHitsAny(ob, acols, bcols, n); hit {
-				return false, tests + i + 1
-			}
-		default:
-			for i := 0; i < n; i++ {
-				if o.SegmentHits(sc.gatherA(acols, i, d), sc.gatherB(bcols, i, d)) {
-					return false, tests + i + 1
+	return e.sweepBatch(acols, bcols, n, sc)
+}
+
+// sweepBatch runs the batch — the n points in columns acols, or with
+// bcols the segments acols[·][i] → bcols[·][i] — over its broadphase
+// runs (see grid.run), each against its own candidates through
+// firstHit. It returns what the full obstacle-major sweep returns: the
+// first hit is the one on the lowest obstacle j, at its lowest item i,
+// and counts n·j + i + 1 tests; a free batch counts n × len(Obstacles).
+// A later run can only improve on a hit with a lower obstacle, so its
+// limit is the best hit's obstacle. A grid without cells makes the batch
+// one run over every obstacle: the full sweep, failing fast on the first
+// hit.
+func (e *Environment) sweepBatch(acols, bcols [][]float64, n int, sc *BatchScratch) (free bool, tests int) {
+	m := len(e.Obstacles)
+	bestJ, bestI := m, 0
+	if g := e.broadphase(); g.res == 0 {
+		bestJ, bestI = e.firstHit(g.all, m, acols, bcols, n, sc)
+	} else {
+		var ra, rb [gridMaxDim][]float64
+		runA, runB := ra[:g.dim], rb[:g.dim]
+		if bcols == nil {
+			runB = nil
+		}
+		for i0 := 0; i0 < n; {
+			i1, ids := g.run(acols, bcols, i0, n, sc)
+			for k := range runA {
+				runA[k] = acols[k][i0:i1]
+				if runB != nil {
+					runB[k] = bcols[k][i0:i1]
 				}
 			}
+			if j, i := e.firstHit(ids, bestJ, runA, runB, i1-i0, sc); j < bestJ {
+				bestJ, bestI = j, i0+i
+			}
+			i0 = i1
 		}
-		tests += n
 	}
-	return true, tests
+	if bestJ == m {
+		return true, n * m
+	}
+	return false, n*bestJ + bestI + 1
+}
+
+// firstHit returns the lowest obstacle among ids, below limit, that one
+// of the batch's n items hits, and that obstacle's first such item; it
+// returns limit when none is hit. Each obstacle's concrete type is
+// resolved once for the whole batch, so the column kernels run with no
+// interface dispatch.
+func (e *Environment) firstHit(ids []int32, limit int, acols, bcols [][]float64, n int, sc *BatchScratch) (int, int) {
+	for _, id := range ids {
+		j := int(id)
+		if j >= limit {
+			break
+		}
+		var hit bool
+		var i int
+		switch ob := e.Obstacles[j].(type) {
+		case BoxObstacle:
+			if bcols == nil {
+				hit, i = boxContainsAny(ob.Box, acols, n)
+			} else {
+				hit, i = boxSegmentHitsAny(ob.Box, acols, bcols, n)
+			}
+		case SphereObstacle:
+			if bcols == nil {
+				hit, i = sphereContainsAny(ob, acols, n)
+			} else {
+				hit, i = sphereSegmentHitsAny(ob, acols, bcols, n)
+			}
+		default:
+			hit, i = sc.gatherHit(ob, acols, bcols, n, e.Dim())
+		}
+		if hit {
+			return j, i
+		}
+	}
+	return limit, 0
+}
+
+// gatherHit is the batch kernel for obstacle types without a column
+// kernel: it gathers each item into the scratch and calls the
+// obstacle's own test.
+func (sc *BatchScratch) gatherHit(o Obstacle, acols, bcols [][]float64, n, d int) (bool, int) {
+	for i := 0; i < n; i++ {
+		a := sc.gatherA(acols, i, d)
+		if bcols == nil {
+			if o.Contains(a) {
+				return true, i
+			}
+		} else if o.SegmentHits(a, sc.gatherB(bcols, i, d)) {
+			return true, i
+		}
+	}
+	return false, 0
 }
 
 // boxContainsAny returns the first batch item inside b (boundary
@@ -228,8 +285,8 @@ func boxSegmentHitsAny(b geom.AABB, acols, bcols [][]float64, n int) (bool, int)
 			if t1 > t2 {
 				t1, t2 = t2, t1
 			}
-			tMin = math.Max(tMin, t1)
-			tMax = math.Min(tMax, t2)
+			tMin = max(tMin, t1)
+			tMax = min(tMax, t2)
 			if tMin > tMax {
 				hit = false
 				break

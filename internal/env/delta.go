@@ -93,12 +93,13 @@ func (d Delta) Merge(o Delta) Delta {
 // Clone returns a deep-enough copy of the environment for copy-on-write
 // mutation: the obstacle slice is copied so appends/removals on the
 // clone never alias the original, while the obstacle values themselves
-// (immutable once constructed) are shared.
+// (immutable once constructed) are shared. The clone builds its own
+// broadphase.
 func (e *Environment) Clone() *Environment {
-	c := *e
+	c := &Environment{Name: e.Name, Bounds: e.Bounds, Epoch: e.Epoch}
 	c.Obstacles = make([]Obstacle, len(e.Obstacles))
 	copy(c.Obstacles, e.Obstacles)
-	return &c
+	return c
 }
 
 // validateObstacle checks that o is a usable obstacle for this
@@ -128,6 +129,13 @@ func (e *Environment) validateObstacle(o Obstacle) error {
 	return nil
 }
 
+// commit starts a new epoch: it bumps Epoch and drops the broadphase of
+// the old obstacle set.
+func (e *Environment) commit() {
+	e.Epoch++
+	e.broad.Store(nil)
+}
+
 // AddObstacle appends o to the obstacle set, bumps the epoch and
 // returns the delta. The environment is unchanged on error.
 func (e *Environment) AddObstacle(o Obstacle) (Delta, error) {
@@ -135,7 +143,7 @@ func (e *Environment) AddObstacle(o Obstacle) (Delta, error) {
 		return Delta{}, err
 	}
 	e.Obstacles = append(e.Obstacles, o)
-	e.Epoch++
+	e.commit()
 	return Delta{Epoch: e.Epoch, Added: []Obstacle{o}}, nil
 }
 
@@ -148,7 +156,7 @@ func (e *Environment) RemoveObstacle(i int) (Delta, error) {
 	}
 	o := e.Obstacles[i]
 	e.Obstacles = append(e.Obstacles[:i:i], e.Obstacles[i+1:]...)
-	e.Epoch++
+	e.commit()
 	return Delta{Epoch: e.Epoch, Removed: []Obstacle{o}}, nil
 }
 
@@ -175,7 +183,7 @@ func (e *Environment) MoveObstacle(i int, dv geom.Vec) (Delta, error) {
 		return Delta{}, err
 	}
 	e.Obstacles[i] = moved
-	e.Epoch++
+	e.commit()
 	return Delta{Epoch: e.Epoch, Added: []Obstacle{moved}, Removed: []Obstacle{old}}, nil
 }
 

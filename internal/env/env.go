@@ -12,6 +12,7 @@ package env
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"parmp/internal/geom"
 	"parmp/internal/rng"
@@ -103,7 +104,7 @@ func (o SphereObstacle) Volume() float64 {
 // structures (roadmaps, trees, caches) can repair incrementally instead
 // of rebuilding. An Environment is not safe for concurrent mutation;
 // long-lived services clone (Clone) before mutating so published
-// snapshots keep reading a frozen world.
+// snapshots keep reading a frozen world. Concurrent queries are safe.
 type Environment struct {
 	Name      string
 	Bounds    geom.AABB
@@ -114,6 +115,10 @@ type Environment struct {
 	// against, which is what keys path-cache invalidation in the
 	// serving tier.
 	Epoch uint64
+	// broad caches the obstacle broadphase of this epoch's obstacle
+	// set: built by the first query, dropped by every mutation, never
+	// shared with a clone.
+	broad atomic.Pointer[grid]
 }
 
 // Dim returns the workspace dimension.
@@ -129,13 +134,21 @@ func (e *Environment) PointFree(p geom.Vec) bool {
 
 // CheckPoint reports whether p is collision-free and how many obstacle
 // containment tests were performed, so callers can meter collision work.
+// The broadphase (see grid) tests only the obstacles near p, but the
+// count is the full sweep's: j+1 for a hit on obstacle j, len(Obstacles)
+// for a free point.
 func (e *Environment) CheckPoint(p geom.Vec) (free bool, tests int) {
 	if !e.Bounds.Contains(p) {
 		return false, 0
 	}
-	for i, o := range e.Obstacles {
-		if o.Contains(p) {
-			return false, i + 1
+	g := e.broadphase()
+	ids := g.all
+	if g.res != 0 {
+		ids = g.pointCandidates(p)
+	}
+	for _, j := range ids {
+		if e.Obstacles[j].Contains(p) {
+			return false, int(j) + 1
 		}
 	}
 	return true, len(e.Obstacles)
@@ -143,7 +156,12 @@ func (e *Environment) CheckPoint(p geom.Vec) (free bool, tests int) {
 
 // SegmentFree reports whether the straight segment a→b avoids all
 // obstacles. Bounds containment of the endpoints is the caller's concern.
+// As with CheckPoint, the broadphase culls the obstacles tested but the
+// reported count is the full sweep's.
 func (e *Environment) SegmentFree(a, b geom.Vec) (free bool, tests int) {
+	if g := e.broadphase(); g.res != 0 {
+		return g.segmentFree(e.Obstacles, a, b)
+	}
 	for i, o := range e.Obstacles {
 		if o.SegmentHits(a, b) {
 			return false, i + 1

@@ -100,8 +100,8 @@ func (b AABB) Intersection(o AABB) (AABB, bool) {
 	lo := make(Vec, len(b.Lo))
 	hi := make(Vec, len(b.Lo))
 	for i := range b.Lo {
-		lo[i] = math.Max(b.Lo[i], o.Lo[i])
-		hi[i] = math.Min(b.Hi[i], o.Hi[i])
+		lo[i] = max(b.Lo[i], o.Lo[i])
+		hi[i] = min(b.Hi[i], o.Hi[i])
 		if lo[i] > hi[i] {
 			return AABB{}, false
 		}
@@ -114,8 +114,8 @@ func (b AABB) Intersection(o AABB) (AABB, bool) {
 func (b AABB) IntersectionVolume(o AABB) float64 {
 	v := 1.0
 	for i := range b.Lo {
-		lo := math.Max(b.Lo[i], o.Lo[i])
-		hi := math.Min(b.Hi[i], o.Hi[i])
+		lo := max(b.Lo[i], o.Lo[i])
+		hi := min(b.Hi[i], o.Hi[i])
 		if lo >= hi {
 			return 0
 		}
@@ -144,7 +144,7 @@ func (b AABB) Expand(margin float64) AABB {
 func (b AABB) Clamp(p Vec) Vec {
 	c := make(Vec, len(p))
 	for i := range p {
-		c[i] = math.Min(math.Max(p[i], b.Lo[i]), b.Hi[i])
+		c[i] = min(max(p[i], b.Lo[i]), b.Hi[i])
 	}
 	return c
 }
@@ -182,8 +182,8 @@ func (b AABB) SegmentIntersects(a, b2 Vec) bool {
 		if t1 > t2 {
 			t1, t2 = t2, t1
 		}
-		tMin = math.Max(tMin, t1)
-		tMax = math.Min(tMax, t2)
+		tMin = max(tMin, t1)
+		tMax = min(tMax, t2)
 		if tMin > tMax {
 			return false
 		}
@@ -208,8 +208,8 @@ func (b AABB) RayEnter(origin, dir Vec) (float64, bool) {
 		if t1 > t2 {
 			t1, t2 = t2, t1
 		}
-		tMin = math.Max(tMin, t1)
-		tMax = math.Min(tMax, t2)
+		tMin = max(tMin, t1)
+		tMax = min(tMax, t2)
 		if tMin > tMax {
 			return 0, false
 		}

@@ -55,12 +55,16 @@ func Kernels() []Kernel {
 	ks := []Kernel{
 		{Name: "ConnectRegion", Bench: benchConnectRegion},
 		{Name: "ConnectBoundary", Bench: benchConnectBoundary},
-		{Name: "ConfigFree", Bench: benchConfigFree},
-		{Name: "ConfigFreeBatch", Items: batchConfigs, Bench: benchConfigFreeBatch},
+		{Name: "ConfigFree", Bench: benchConfigFree(env.MedCube)},
+		{Name: "ConfigFreeBatch", Items: batchConfigs, Bench: benchConfigFreeBatch(env.MedCube)},
+		{Name: "ConfigFreeMixed", Bench: benchConfigFree(env.Mixed)},
+		{Name: "ConfigFreeBatchMixed", Items: batchConfigs, Bench: benchConfigFreeBatch(env.Mixed)},
 		{Name: "EdgeFreeLinkage", Bench: benchEdgeFreeLinkage},
 		{Name: "EdgeFreeBatchLinkage", Items: batchEdges, Bench: benchEdgeFreeBatchLinkage},
-		{Name: "LocalPlan", Bench: benchLocalPlan},
-		{Name: "LocalPlanBatch", Bench: benchLocalPlanBatch},
+		{Name: "LocalPlan", Bench: benchLocalPlan(medCubeEdge)},
+		{Name: "LocalPlanBatch", Bench: benchLocalPlanBatch(medCubeEdge)},
+		{Name: "LocalPlanMixed", Bench: benchLocalPlan(mixedEdge)},
+		{Name: "LocalPlanBatchMixed", Bench: benchLocalPlanBatch(mixedEdge)},
 		{Name: "NearestInto", Bench: benchNearestInto},
 		{Name: "NearestBatch", Items: batchQueries, Bench: benchNearestBatch},
 		{Name: "DynamicNearest", Bench: benchDynamicNearest},
@@ -122,8 +126,10 @@ func CheckMaxAllocs(rs []Result, max int64) error {
 // directly comparable on any machine.
 var batchPairs = []struct{ batch, scalar string }{
 	{"ConfigFreeBatch", "ConfigFree"},
+	{"ConfigFreeBatchMixed", "ConfigFreeMixed"},
 	{"EdgeFreeBatchLinkage", "EdgeFreeLinkage"},
 	{"LocalPlanBatch", "LocalPlan"},
+	{"LocalPlanBatchMixed", "LocalPlanMixed"},
 	{"NearestBatch", "NearestInto"},
 }
 
@@ -239,35 +245,43 @@ func freeConfigs(s *cspace.Space, n int, seed uint64) []cspace.Config {
 	return out
 }
 
-func rigidBenchSpace() *cspace.Space {
-	return cspace.NewRigidBodySpace(env.MedCube(), cspace.NewRigidBox(0.03, 0.02, 0.01))
+// The collision kernels run on two worlds: med-cube (one obstacle, so
+// the broadphase has no cells and every query sweeps) and mixed (216
+// boxes, every query culled through the broadphase grid).
+
+func rigidBenchSpace(world func() *env.Environment) *cspace.Space {
+	return cspace.NewRigidBodySpace(world(), cspace.NewRigidBox(0.03, 0.02, 0.01))
 }
 
-func benchConfigFree(b *testing.B) {
-	s := rigidBenchSpace()
-	var c cspace.Counters
-	var sc cspace.Scratch
-	qs := freeConfigs(s, batchConfigs, 11)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ValidS(qs[i%len(qs)], &sc, &c)
+func benchConfigFree(world func() *env.Environment) func(b *testing.B) {
+	return func(b *testing.B) {
+		s := rigidBenchSpace(world)
+		var c cspace.Counters
+		var sc cspace.Scratch
+		qs := freeConfigs(s, batchConfigs, 11)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.ValidS(qs[i%len(qs)], &sc, &c)
+		}
 	}
 }
 
-func benchConfigFreeBatch(b *testing.B) {
-	s := rigidBenchSpace()
-	robot := s.Robot.(cspace.BatchRobot)
-	qs := freeConfigs(s, batchConfigs, 11)
-	var bt cspace.Batch
-	bt.Reset(s.Dim())
-	for _, q := range qs {
-		bt.Append(q)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		robot.ConfigFreeBatch(s.Env, &bt)
+func benchConfigFreeBatch(world func() *env.Environment) func(b *testing.B) {
+	return func(b *testing.B) {
+		s := rigidBenchSpace(world)
+		robot := s.Robot.(cspace.BatchRobot)
+		qs := freeConfigs(s, batchConfigs, 11)
+		var bt cspace.Batch
+		bt.Reset(s.Dim())
+		for _, q := range qs {
+			bt.Append(q)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			robot.ConfigFreeBatch(s.Env, &bt)
+		}
 	}
 }
 
@@ -323,34 +337,44 @@ func benchEdgeFreeBatchLinkage(b *testing.B) {
 	}
 }
 
-// localPlanEdge is a free edge of the med-cube point space (it skirts
-// the central cube), so both local planners sweep the full resolution —
-// the accepted-edge hot path that dominates PRM connection cost.
-func localPlanEdge() (geom.Vec, geom.Vec) {
-	return geom.V(0.05, 0.05, 0.05), geom.V(0.1, 0.9, 0.1)
+// planEdge is a free edge of a point-robot world, so both local planners
+// sweep the full resolution — the accepted-edge hot path that dominates
+// PRM connection cost.
+type planEdge struct {
+	world func() *env.Environment
+	a, b  geom.Vec
 }
 
-func benchLocalPlan(b *testing.B) {
-	s := cspace.NewPointSpace(env.MedCube())
-	var c cspace.Counters
-	var sc cspace.Scratch
-	qa, qb := localPlanEdge()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.LocalPlanS(qa, qb, &sc, &c)
+var (
+	// medCubeEdge skirts the central cube.
+	medCubeEdge = planEdge{env.MedCube, geom.V(0.05, 0.05, 0.05), geom.V(0.1, 0.9, 0.1)}
+	// mixedEdge threads the sparse half of the box lattice.
+	mixedEdge = planEdge{env.Mixed, geom.V(0.889, 0.308, 0.201), geom.V(0.835, 0.369, 0.971)}
+)
+
+func benchLocalPlan(e planEdge) func(b *testing.B) {
+	return func(b *testing.B) {
+		s := cspace.NewPointSpace(e.world())
+		var c cspace.Counters
+		var sc cspace.Scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.LocalPlanS(e.a, e.b, &sc, &c)
+		}
 	}
 }
 
-func benchLocalPlanBatch(b *testing.B) {
-	s := cspace.NewPointSpace(env.MedCube())
-	var c cspace.Counters
-	var bt cspace.Batch
-	qa, qb := localPlanEdge()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.LocalPlanBatch(qa, qb, &bt, &c)
+func benchLocalPlanBatch(e planEdge) func(b *testing.B) {
+	return func(b *testing.B) {
+		s := cspace.NewPointSpace(e.world())
+		var c cspace.Counters
+		var bt cspace.Batch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.LocalPlanBatch(e.a, e.b, &bt, &c)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"parmp/internal/cspace"
 )
 
 // TestRunOneKernel smoke-tests the testing.Benchmark plumbing on the
@@ -14,7 +16,7 @@ func TestRunOneKernel(t *testing.T) {
 	if err := flag.Set("test.benchtime", "10x"); err != nil {
 		t.Fatal(err)
 	}
-	r := testing.Benchmark(benchLocalPlan)
+	r := testing.Benchmark(benchLocalPlan(medCubeEdge))
 	if r.N < 10 {
 		t.Fatalf("benchmark ran %d iterations, want >= 10", r.N)
 	}
@@ -62,7 +64,7 @@ func TestRunBatchKernel(t *testing.T) {
 	if err := flag.Set("test.benchtime", "10x"); err != nil {
 		t.Fatal(err)
 	}
-	r := testing.Benchmark(benchLocalPlanBatch)
+	r := testing.Benchmark(benchLocalPlanBatch(medCubeEdge))
 	if r.N < 10 {
 		t.Fatalf("benchmark ran %d iterations, want >= 10", r.N)
 	}
@@ -143,5 +145,18 @@ func TestCheckMaxAllocs(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "hot") || strings.Contains(err.Error(), "\"ok\"") {
 		t.Fatalf("error should name only the offender: %v", err)
+	}
+}
+
+// TestPlanEdgesFree checks the local-planning fixtures are free edges,
+// so both planners sweep the full resolution and the batch and scalar
+// kernels compare the same work.
+func TestPlanEdgesFree(t *testing.T) {
+	for _, e := range []planEdge{medCubeEdge, mixedEdge} {
+		s := cspace.NewPointSpace(e.world())
+		var sc cspace.Scratch
+		if !s.LocalPlanS(e.a, e.b, &sc, nil) {
+			t.Errorf("%s edge %v→%v is not free", s.Env.Name, e.a, e.b)
+		}
 	}
 }
