@@ -93,7 +93,7 @@ func main() {
 			ID:      i,
 			Payload: len(nodes[i]),
 			Run: func() (float64, int) {
-				_, w := prm.ConnectRegion(s, nodes[i], params)
+				_, w := prm.ConnectRegion(s, nodes[i], 0, params)
 				return cost.Time(w), len(nodes[i])
 			},
 		})

@@ -167,7 +167,7 @@ func (e *PRMEngine) GrowRound(stop <-chan struct{}) error {
 			Payload: len(combined[i]), // stealing this region moves its samples
 			Run: func() (float64, int) {
 				var w cspace.Counters
-				fresh[i].edges, w = prm.ConnectRegionIncremental(e.s, combined[i], firstNew[i], e.params)
+				fresh[i].edges, w = prm.ConnectRegion(e.s, combined[i], firstNew[i], e.params)
 				return opts.Cost.Time(w), len(combined[i])
 			},
 		}
@@ -240,8 +240,8 @@ const boundaryFrontier = 1
 // connectPairIncremental connects regions a and b after a round: a's new
 // nodes against all of b, then a's old nodes against b's new nodes.
 // Edge indices are mapped into the regions' final (committed) node
-// order. In round 0 "old" is empty, so the single new×all call is
-// exactly the one-shot ConnectBoundary.
+// order. In round 0 "old" is empty, so a round-0 pair makes a single
+// ConnectBoundary call over both regions' whole node sets.
 func (e *PRMEngine) connectPairIncremental(a, b int, combined [][]prm.Node, firstNew []int) prm.BoundaryResult {
 	var out prm.BoundaryResult
 	newA := combined[a][firstNew[a]:]

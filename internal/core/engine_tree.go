@@ -128,7 +128,7 @@ func (e *TreeEngine) growRegion(i int, params rrt.Params, r *rng.Stream) treeSte
 		if old := e.starTrees[i]; old != nil {
 			tree = copyStarTree(old)
 		}
-		res := rrt.GrowStarTree(e.s, reg, tree, rrt.StarParams{Params: params}, r)
+		res := rrt.GrowStarTree(e.s, reg, tree, params, r)
 		return treeStep{
 			branch:  &rrt.Tree{Nodes: res.Tree.Nodes},
 			nodes:   res.Tree.Len(),

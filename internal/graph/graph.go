@@ -109,26 +109,3 @@ func (g *Graph[V]) ForEachEdge(fn func(a, b ID, w float64)) {
 func (g *Graph[V]) String() string {
 	return fmt.Sprintf("graph{V=%d, E=%d}", g.NumVertices(), g.NumEdges())
 }
-
-// RemoveLastVertex deletes the most recently added vertex and all its
-// edges. Only the last vertex can be removed (IDs stay dense), which is
-// exactly what transient query attachments need. It panics on an empty
-// graph.
-func (g *Graph[V]) RemoveLastVertex() {
-	last := ID(len(g.verts) - 1)
-	if last < 0 {
-		panic("graph: RemoveLastVertex on empty graph")
-	}
-	for _, e := range g.adj[last] {
-		nbr := g.adj[e.To]
-		for i, back := range nbr {
-			if back.To == last {
-				g.adj[e.To] = append(nbr[:i], nbr[i+1:]...)
-				g.edges--
-				break
-			}
-		}
-	}
-	g.verts = g.verts[:last]
-	g.adj = g.adj[:last]
-}

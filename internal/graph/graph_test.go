@@ -270,41 +270,3 @@ func TestGraphString(t *testing.T) {
 		t.Fatalf("String = %q", buildPath(3).String())
 	}
 }
-
-func TestRemoveLastVertex(t *testing.T) {
-	g := New[int](4)
-	for i := 0; i < 4; i++ {
-		g.AddVertex(i)
-	}
-	g.AddEdge(0, 3, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(0, 1, 1)
-	g.RemoveLastVertex()
-	if g.NumVertices() != 3 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want only 0-1", g.NumEdges())
-	}
-	if g.HasEdge(0, 3) || g.HasEdge(1, 3) {
-		t.Fatal("edges to removed vertex must be gone")
-	}
-	if !g.HasEdge(0, 1) {
-		t.Fatal("unrelated edge must survive")
-	}
-	// Removing an isolated vertex works too.
-	g.AddVertex(9)
-	g.RemoveLastVertex()
-	if g.NumVertices() != 3 {
-		t.Fatal("isolated removal failed")
-	}
-}
-
-func TestRemoveLastVertexPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New[int](0).RemoveLastVertex()
-}

@@ -71,6 +71,25 @@ func TestRunBatchKernel(t *testing.T) {
 	if a := r.AllocsPerOp(); a > 5 {
 		t.Fatalf("LocalPlanBatch kernel allocates %d allocs/op, want near zero", a)
 	}
+
+	// At mpbench's default 100x the collision batch kernels read their
+	// steady state: the warm-up call absorbs the scratch growth, which
+	// would otherwise round up to 1 allocs/op.
+	if err := flag.Set("test.benchtime", "100x"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ConfigFreeBatch", "ConfigFreeBatchMixed"} {
+		var k Kernel
+		for _, c := range Kernels() {
+			if c.Name == name {
+				k = c
+			}
+		}
+		r := testing.Benchmark(k.Bench)
+		if a := r.AllocsPerOp(); a != 0 {
+			t.Fatalf("%s allocates %d allocs/op (%d B/op) at 100x, want 0", name, a, r.AllocedBytesPerOp())
+		}
+	}
 }
 
 func TestCheckBatchNs(t *testing.T) {

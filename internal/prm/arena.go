@@ -74,7 +74,7 @@ func (a *Arena) resetSeen() map[[2]int]bool {
 }
 
 // copyEdges returns an owned copy of the arena's edge accumulator, or
-// nil when no edges were found (matching the allocating kernels).
+// nil when no edges were found.
 func copyEdges(edges [][2]int) [][2]int {
 	if len(edges) == 0 {
 		return nil

@@ -10,7 +10,7 @@ import (
 	"parmp/internal/rng"
 )
 
-func regionsEqual(t *testing.T, got, want RegionResult) {
+func regionsEqual(t *testing.T, got, want regionResult) {
 	t.Helper()
 	if len(got.Nodes) != len(want.Nodes) {
 		t.Fatalf("node count %d, want %d", len(got.Nodes), len(want.Nodes))
@@ -41,11 +41,11 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	box := geom.Box3(0, 0, 0, 1, 1, 1)
 	p := Params{SamplesPerRegion: 40, K: 5}
 
-	build := func(a *Arena, seed uint64) RegionResult {
-		var res RegionResult
+	build := func(a *Arena, seed uint64) regionResult {
+		var res regionResult
 		r := rng.Derive(seed, 0)
-		res.Nodes, res.Work = SampleRegionArena(s, box, 0, p, r, a)
-		edges, cw := ConnectRegionArena(s, res.Nodes, p, a)
+		res.Nodes, res.Work = sampleRegion(s, box, 0, p, r, a)
+		edges, cw := connectRegion(s, res.Nodes, 0, p, a)
 		res.Edges = edges
 		res.Work.Add(cw)
 		return res
@@ -71,18 +71,18 @@ func TestArenaPoolConcurrent(t *testing.T) {
 	p := Params{SamplesPerRegion: 30, K: 4}
 	const regions = 24
 
-	want := make([]RegionResult, regions)
+	want := make([]regionResult, regions)
 	for i := range want {
-		want[i] = BuildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
+		want[i] = buildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
 	}
 
-	got := make([]RegionResult, regions)
+	got := make([]regionResult, regions)
 	var wg sync.WaitGroup
 	for i := 0; i < regions; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = BuildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
+			got[i] = buildRegion(s, box, i, p, rng.Derive(99, uint64(i)))
 		}(i)
 	}
 	wg.Wait()
@@ -99,10 +99,10 @@ func TestConnectBoundaryArenaReuse(t *testing.T) {
 	aNodes, _ := SampleRegion(s, geom.Box3(0, 0, 0, 0.5, 1, 1), 0, Params{SamplesPerRegion: 40}, rng.Derive(5, 0))
 	bNodes, _ := SampleRegion(s, geom.Box3(0.5, 0, 0, 1, 1, 1), 1, Params{SamplesPerRegion: 40}, rng.Derive(5, 1))
 	for _, maxSources := range []int{0, 8} {
-		fresh := ConnectBoundaryArena(s, aNodes, bNodes, 3, maxSources, new(Arena))
+		fresh := connectBoundary(s, aNodes, bNodes, 3, maxSources, new(Arena))
 		dirty := GetArena()
 		for rep := 0; rep < 3; rep++ {
-			got := ConnectBoundaryArena(s, aNodes, bNodes, 3, maxSources, dirty)
+			got := connectBoundary(s, aNodes, bNodes, 3, maxSources, dirty)
 			if got.Attempts != fresh.Attempts || got.Work != fresh.Work || len(got.Edges) != len(fresh.Edges) {
 				t.Fatalf("maxSources=%d rep %d: got %+v, want %+v", maxSources, rep, got, fresh)
 			}

@@ -25,7 +25,7 @@ func BenchmarkKernelConnectRegion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConnectRegion(s, nodes, p)
+		ConnectRegion(s, nodes, 0, p)
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 // Index is a prebuilt query accelerator over a frozen roadmap: the full
 // kd-tree, the gathered point slice and the connected-component labels
 // are computed once at build time, so answering a query costs two kNN
-// lookups plus a shortest-path search instead of re-gathering every
-// roadmap point and rebuilding the tree per call (what the legacy Query
-// does). An Index never mutates its roadmap, which is what makes a
-// published engine snapshot safe for concurrent readers.
+// lookups plus a shortest-path search. An Index never mutates its
+// roadmap, which is what makes a published engine snapshot safe for
+// concurrent readers.
 type Index struct {
 	m      *Roadmap
 	pts    []geom.Vec
@@ -84,9 +83,8 @@ func (ix *Index) attach(s *cspace.Space, q cspace.Config, k int, c *cspace.Count
 // reachable nodes, and a multi-source Dijkstra over the roadmap finds
 // the cheapest start-attachment → goal-attachment path. The returned
 // path includes start and goal; ok is false when no connection exists.
-// Success semantics match the legacy Query exactly: the query succeeds
-// iff some start attachment and some goal attachment share a connected
-// component. Safe for concurrent use.
+// The query succeeds iff some start attachment and some goal attachment
+// share a connected component. Safe for concurrent use.
 func (ix *Index) Query(s *cspace.Space, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
 	if !s.Valid(start, c) || !s.Valid(goal, c) {
 		return nil, false
@@ -100,7 +98,7 @@ func (ix *Index) Query(s *cspace.Space, start, goal cspace.Config, k int, c *csp
 		return nil, false
 	}
 	// Component pre-check: cheap reject for disconnected queries, and the
-	// exact success criterion of the legacy mutating Query.
+	// exact success criterion.
 	reachable := false
 	for _, sa := range starts {
 		for _, ga := range goals {

@@ -7,21 +7,46 @@ import (
 	"parmp/internal/env"
 	"parmp/internal/geom"
 	"parmp/internal/graph"
+	"parmp/internal/knn"
 	"parmp/internal/rng"
 )
 
-// buildTestRoadmap assembles a roadmap from one BuildRegion pass.
+// buildTestRoadmap assembles a roadmap from one whole-region pass.
 func buildTestRoadmap(t *testing.T, s *cspace.Space, samples int, seed uint64) *Roadmap {
 	t.Helper()
-	m := NewRoadmap()
-	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: samples, K: 6}, rng.New(seed))
-	for _, n := range res.Nodes {
-		m.AddNode(n)
+	return buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: samples, K: 6}, rng.New(seed)).roadmap(s)
+}
+
+// bruteQueryOK is the reference for Index.Query's success criterion,
+// sharing no code with Index: both endpoints must be valid, each attaches
+// to those of its k nearest roadmap nodes (by brute-force scan) the local
+// planner reaches, and the query succeeds iff some start attachment and
+// some goal attachment share a connected component.
+func bruteQueryOK(s *cspace.Space, m *Roadmap, start, goal cspace.Config, k int) bool {
+	if !s.Valid(start, nil) || !s.Valid(goal, nil) {
+		return false
 	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
+	pts := make([]geom.Vec, m.NumNodes())
+	for i := range pts {
+		pts[i] = m.G.Vertex(graph.ID(i)).Q
 	}
-	return m
+	labels, _ := m.G.ConnectedComponents()
+	attached := func(q cspace.Config) map[int]bool {
+		comps := map[int]bool{}
+		for _, h := range knn.BruteNearest(pts, q, k) {
+			if s.LocalPlan(q, pts[h.Index], nil) {
+				comps[labels[h.Index]] = true
+			}
+		}
+		return comps
+	}
+	goalComps := attached(goal)
+	for c := range attached(start) {
+		if goalComps[c] {
+			return true
+		}
+	}
+	return false
 }
 
 func TestIndexQueryFindsValidPath(t *testing.T) {
@@ -51,8 +76,9 @@ func TestIndexQueryFindsValidPath(t *testing.T) {
 }
 
 func TestIndexQueryMatchesLegacyQuery(t *testing.T) {
-	// The index must agree with the mutating Query on success/failure
-	// across environments and endpoints.
+	// The index must agree with the brute-force reference on
+	// success/failure across environments and endpoints, and every edge
+	// of a returned path must be locally plannable.
 	cases := []struct {
 		name  string
 		space *cspace.Space
@@ -69,13 +95,18 @@ func TestIndexQueryMatchesLegacyQuery(t *testing.T) {
 		m := buildTestRoadmap(t, tc.space, 80, 11)
 		ix := BuildIndex(m)
 		for i, ep := range endpoints {
-			legacyPath, legacyOK := Query(tc.space, m, ep[0], ep[1], 4, nil)
+			refOK := bruteQueryOK(tc.space, m, ep[0], ep[1], 4)
 			ixPath, ixOK := ix.Query(tc.space, ep[0], ep[1], 4, nil)
-			if legacyOK != ixOK {
-				t.Fatalf("%s endpoint %d: legacy ok=%v, index ok=%v", tc.name, i, legacyOK, ixOK)
+			if refOK != ixOK {
+				t.Fatalf("%s endpoint %d: reference ok=%v, index ok=%v", tc.name, i, refOK, ixOK)
 			}
-			if ixOK && (len(ixPath) < 2 || len(legacyPath) < 2) {
+			if ixOK && len(ixPath) < 2 {
 				t.Fatalf("%s endpoint %d: degenerate path", tc.name, i)
+			}
+			for j := 0; j+1 < len(ixPath); j++ {
+				if !tc.space.LocalPlan(ixPath[j], ixPath[j+1], nil) {
+					t.Fatalf("%s endpoint %d: path edge %d not plannable", tc.name, i, j)
+				}
 			}
 		}
 	}
@@ -124,19 +155,19 @@ func TestIndexQueryEmptyRoadmap(t *testing.T) {
 }
 
 func TestConnectRegionIncrementalMatchesFull(t *testing.T) {
-	// firstNew = 0 must be exactly the full connect (the one-shot path),
+	// The pooled entry point must match the arena body at firstNew = 0,
 	// and an incremental pass over appended nodes must only produce edges
 	// touching at least one new node.
 	s := freeSpace()
-	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 50, K: 4}, rng.New(3))
+	res := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 50, K: 4}, rng.New(3))
 	p := Params{SamplesPerRegion: 50, K: 4}
 
 	a := GetArena()
 	defer PutArena(a)
-	full, _ := ConnectRegionIncrementalArena(s, res.Nodes, 0, p, a)
-	ref, _ := ConnectRegion(s, res.Nodes, p)
+	full, _ := connectRegion(s, res.Nodes, 0, p, a)
+	ref, _ := ConnectRegion(s, res.Nodes, 0, p)
 	if len(full) != len(ref) {
-		t.Fatalf("firstNew=0 produced %d edges, full connect %d", len(full), len(ref))
+		t.Fatalf("arena body produced %d edges, entry point %d", len(full), len(ref))
 	}
 	for i := range full {
 		if full[i] != ref[i] {
@@ -145,10 +176,10 @@ func TestConnectRegionIncrementalMatchesFull(t *testing.T) {
 	}
 
 	// Append more nodes and connect incrementally.
-	more := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 30, K: 4}, rng.New(4))
+	more, _ := SampleRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 30, K: 4}, rng.New(4))
 	firstNew := len(res.Nodes)
-	all := append(append([]Node(nil), res.Nodes...), more.Nodes...)
-	inc, _ := ConnectRegionIncrementalArena(s, all, firstNew, p, a)
+	all := append(append([]Node(nil), res.Nodes...), more...)
+	inc, _ := connectRegion(s, all, firstNew, p, a)
 	if len(inc) == 0 {
 		t.Fatal("incremental connect found no edges in free space")
 	}

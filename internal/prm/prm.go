@@ -2,9 +2,10 @@
 // (Kavraki et al., 1996) used inside each subdivision region, plus the
 // roadmap data type and query answering.
 //
-// The parallel driver in internal/core invokes BuildRegion once per
-// region (Algorithm 1, line 8) and ConnectBoundary for each adjacent
-// region pair (lines 10–12). All collision and nearest-neighbour work is
+// The parallel planner in internal/core invokes SampleRegion and
+// ConnectRegion once per region (Algorithm 1, line 8) and ConnectBoundary
+// for each adjacent region pair (lines 10–12). Each kernel borrows its
+// buffers from the Arena pool. All collision and nearest-neighbour work is
 // metered through cspace.Counters so the load-balancing layers can charge
 // virtual processors for the work actually performed.
 package prm
@@ -51,9 +52,6 @@ type Params struct {
 	SamplesPerRegion int
 	// K is the number of nearest neighbours per connection attempt.
 	K int
-	// MaxTries bounds sampling attempts per requested sample (default 20)
-	// for SampleFreeIn-style callers.
-	MaxTries int
 	// Sampler generates candidates (default uniform). Narrow-passage
 	// samplers (Gaussian, bridge) concentrate nodes where connectivity is
 	// hard, at higher collision cost per attempt.
@@ -67,37 +65,22 @@ func (p Params) sampler() cspace.Sampler {
 	return p.Sampler
 }
 
-func (p Params) maxTries() int {
-	if p.MaxTries <= 0 {
-		return 20
-	}
-	return p.MaxTries
-}
-
-// RegionResult is the product of planning one region.
-type RegionResult struct {
-	Nodes []Node          // free configurations generated in the region
-	Edges [][2]int        // local indices into Nodes
-	Work  cspace.Counters // work performed, for load accounting
-}
-
 // SampleRegion draws p.SamplesPerRegion uniform configurations in box and
 // keeps the valid ones — the cheap first sub-phase whose per-region node
 // counts are the paper's repartitioning weight for PRM. Fixed-attempt
 // sampling makes a region's node count proportional to its free volume,
 // which is the load model the paper's theoretical analysis assumes ("the
 // total load that the region will experience is proportional to V_free").
+// Uniform sampling draws candidates into the arena's scratch
+// configuration and clones only the accepted ones; custom samplers keep
+// their allocating contract.
 func SampleRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream) ([]Node, cspace.Counters) {
 	a := GetArena()
 	defer PutArena(a)
-	return SampleRegionArena(s, box, regionID, p, r, a)
+	return sampleRegion(s, box, regionID, p, r, a)
 }
 
-// SampleRegionArena is SampleRegion through an explicit arena. Uniform
-// sampling draws candidates into the arena's scratch configuration and
-// clones only the accepted ones; custom samplers keep their allocating
-// contract but validity still routes through the collision scratch.
-func SampleRegionArena(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream, a *Arena) ([]Node, cspace.Counters) {
+func sampleRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream, a *Arena) ([]Node, cspace.Counters) {
 	var work cspace.Counters
 	nodes := make([]Node, 0, p.SamplesPerRegion)
 	if _, uniform := p.sampler().(cspace.UniformSampler); uniform {
@@ -119,42 +102,21 @@ func SampleRegionArena(s *cspace.Space, box geom.AABB, regionID int, p Params, r
 	return nodes, work
 }
 
-// ConnectRegion connects each node to its K nearest neighbours within the
-// region with the local planner — the expensive sub-phase ("the most time
-// consuming phase of the entire computation", ~90 % of total execution in
-// the paper's breakdown). Every k-nearest pair is attempted exactly once
-// (the paper's PRM attempts all k-nearest connections; no
-// connected-component shortcut).
-func ConnectRegion(s *cspace.Space, nodes []Node, p Params) ([][2]int, cspace.Counters) {
+// ConnectRegion connects nodes[firstNew:] to their K nearest neighbours
+// among all nodes with the local planner — the expensive sub-phase ("the
+// most time consuming phase of the entire computation", ~90 % of total
+// execution in the paper's breakdown). Every k-nearest pair is attempted
+// exactly once (the paper's PRM attempts all k-nearest connections; no
+// connected-component shortcut). firstNew = 0 connects a whole region;
+// a later engine round passes its previous node count, so it pays for
+// its new samples without re-attempting the earlier rounds' pairs.
+func ConnectRegion(s *cspace.Space, nodes []Node, firstNew int, p Params) ([][2]int, cspace.Counters) {
 	a := GetArena()
 	defer PutArena(a)
-	return ConnectRegionArena(s, nodes, p, a)
+	return connectRegion(s, nodes, firstNew, p, a)
 }
 
-// ConnectRegionArena is ConnectRegion through an explicit arena: the
-// point slice, kd-tree, query scratch, dedup set and edge accumulator
-// all live in the arena, so the only retained allocation is the returned
-// edge list.
-func ConnectRegionArena(s *cspace.Space, nodes []Node, p Params, a *Arena) ([][2]int, cspace.Counters) {
-	return ConnectRegionIncrementalArena(s, nodes, 0, p, a)
-}
-
-// ConnectRegionIncremental is ConnectRegionIncrementalArena through a
-// pooled arena.
-func ConnectRegionIncremental(s *cspace.Space, nodes []Node, firstNew int, p Params) ([][2]int, cspace.Counters) {
-	a := GetArena()
-	defer PutArena(a)
-	return ConnectRegionIncrementalArena(s, nodes, firstNew, p, a)
-}
-
-// ConnectRegionIncrementalArena is the round-growth variant of
-// ConnectRegionArena: only nodes[firstNew:] issue kNN queries, against
-// the full node set, so a later engine round pays for its new samples
-// without re-attempting the previous rounds' pairs. firstNew = 0 is
-// exactly ConnectRegionArena (the one-shot planners route through here),
-// so the first round of an engine run is bit-identical to the one-shot
-// pipeline.
-func ConnectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, p Params, a *Arena) ([][2]int, cspace.Counters) {
+func connectRegion(s *cspace.Space, nodes []Node, firstNew int, p Params, a *Arena) ([][2]int, cspace.Counters) {
 	var work cspace.Counters
 	if len(nodes) < 2 || firstNew >= len(nodes) {
 		return nil, work
@@ -194,20 +156,6 @@ func ConnectRegionIncrementalArena(s *cspace.Space, nodes []Node, firstNew int, 
 	return copyEdges(a.edges), work
 }
 
-// BuildRegion runs sequential PRM restricted to box (the region's
-// expanded sampling volume): SampleRegion followed by ConnectRegion.
-// Deterministic given the stream.
-func BuildRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream) RegionResult {
-	a := GetArena()
-	defer PutArena(a)
-	var res RegionResult
-	res.Nodes, res.Work = SampleRegionArena(s, box, regionID, p, r, a)
-	edges, connectWork := ConnectRegionArena(s, res.Nodes, p, a)
-	res.Edges = edges
-	res.Work.Add(connectWork)
-	return res
-}
-
 // BoundaryResult is the product of connecting two adjacent regions.
 type BoundaryResult struct {
 	// Edges are (index into a's nodes, index into b's nodes) pairs that
@@ -229,15 +177,10 @@ type BoundaryResult struct {
 func ConnectBoundary(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int) BoundaryResult {
 	ar := GetArena()
 	defer PutArena(ar)
-	return ConnectBoundaryArena(s, aNodes, bNodes, k, maxSources, ar)
+	return connectBoundary(s, aNodes, bNodes, k, maxSources, ar)
 }
 
-// ConnectBoundaryArena is ConnectBoundary through an explicit arena. The
-// frontier centroid accumulates in place in a reused buffer (the
-// allocating version rebuilt the centroid vector once per added point),
-// and both regions' point slices, the kd-tree and all kNN scratch come
-// from the arena.
-func ConnectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int, ar *Arena) BoundaryResult {
+func connectBoundary(s *cspace.Space, aNodes, bNodes []Node, k, maxSources int, ar *Arena) BoundaryResult {
 	var res BoundaryResult
 	if len(aNodes) == 0 || len(bNodes) == 0 {
 		return res
@@ -298,68 +241,4 @@ func ConnectBoundaryArena(s *cspace.Space, aNodes, bNodes []Node, k, maxSources 
 	}
 	res.Edges = copyEdges(ar.edges)
 	return res
-}
-
-// Query connects start and goal to the roadmap (each to its k nearest
-// nodes) and extracts a shortest path. It returns the configuration
-// sequence including start and goal, and ok=false if no path exists.
-// The roadmap is left unchanged on return, but it IS temporarily
-// mutated (transient attachment vertices are added and removed), so
-// concurrent callers must serialize.
-//
-// Deprecated: Query re-gathers every roadmap point and rebuilds the
-// kd-tree per call. Build an Index once and use Index.Query, which is
-// non-mutating, concurrency-safe and amortizes the build cost across
-// calls. Every caller outside this function's own regression tests has
-// been migrated (the public parmp.Query now routes through BuildIndex);
-// Query will be removed together with the next roadmap-format change.
-func Query(s *cspace.Space, m *Roadmap, start, goal cspace.Config, k int, c *cspace.Counters) ([]cspace.Config, bool) {
-	if !s.Valid(start, c) || !s.Valid(goal, c) {
-		return nil, false
-	}
-	pts := make([]geom.Vec, m.NumNodes())
-	for i := 0; i < m.NumNodes(); i++ {
-		pts[i] = m.G.Vertex(graph.ID(i)).Q
-	}
-	// Full-roadmap trees are the largest built anywhere; the parallel
-	// build produces a bit-identical tree faster for big maps.
-	tree := knn.BuildParallel(pts, 0)
-
-	attach := func(q cspace.Config) (graph.ID, bool) {
-		id := m.G.AddVertex(Node{Q: q, Region: -1})
-		hits, evals := tree.Nearest(q, k)
-		if c != nil {
-			c.KNNQueries++
-			c.KNNEvals += int64(evals)
-		}
-		connected := false
-		for _, h := range hits {
-			if s.LocalPlan(q, pts[h.Index], c) {
-				m.G.AddEdge(id, graph.ID(h.Index), s.Distance(q, pts[h.Index]))
-				connected = true
-			}
-		}
-		return id, connected
-	}
-
-	sid, okS := attach(start)
-	gid, okG := attach(goal)
-	// Remove the transient vertices before returning (goal first: it was
-	// added last).
-	defer func() {
-		m.G.RemoveLastVertex()
-		m.G.RemoveLastVertex()
-	}()
-	if !okS || !okG {
-		return nil, false
-	}
-	ids, _, ok := m.G.ShortestPath(sid, gid)
-	if !ok {
-		return nil, false
-	}
-	path := make([]cspace.Config, len(ids))
-	for i, id := range ids {
-		path[i] = m.G.Vertex(id).Q.Clone()
-	}
-	return path, true
 }

@@ -12,10 +12,41 @@ import (
 
 func freeSpace() *cspace.Space { return cspace.NewPointSpace(env.Free()) }
 
+// regionResult is one region planned whole: its sampled nodes, the edges
+// among them (local indices into Nodes) and the combined work.
+type regionResult struct {
+	Nodes []Node
+	Edges [][2]int
+	Work  cspace.Counters
+}
+
+// buildRegion plans one region whole: SampleRegion, then ConnectRegion
+// from the first node.
+func buildRegion(s *cspace.Space, box geom.AABB, regionID int, p Params, r *rng.Stream) regionResult {
+	var res regionResult
+	res.Nodes, res.Work = SampleRegion(s, box, regionID, p, r)
+	edges, w := ConnectRegion(s, res.Nodes, 0, p)
+	res.Edges = edges
+	res.Work.Add(w)
+	return res
+}
+
+// roadmap assembles a roadmap from the region's nodes and edges.
+func (res regionResult) roadmap(s *cspace.Space) *Roadmap {
+	m := NewRoadmap()
+	for _, n := range res.Nodes {
+		m.AddNode(n)
+	}
+	for _, e := range res.Edges {
+		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
+	}
+	return m
+}
+
 func TestBuildRegionGeneratesNodes(t *testing.T) {
 	s := freeSpace()
 	box := geom.Box3(0, 0, 0, 0.5, 0.5, 0.5)
-	res := BuildRegion(s, box, 3, Params{SamplesPerRegion: 50, K: 5}, rng.New(1))
+	res := buildRegion(s, box, 3, Params{SamplesPerRegion: 50, K: 5}, rng.New(1))
 	if len(res.Nodes) != 50 {
 		t.Fatalf("nodes = %d, want 50 in free space", len(res.Nodes))
 	}
@@ -39,8 +70,8 @@ func TestBuildRegionDeterministic(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	box := geom.Box3(0, 0, 0, 1, 1, 1)
 	p := Params{SamplesPerRegion: 30, K: 4}
-	a := BuildRegion(s, box, 0, p, rng.Derive(7, 0))
-	b := BuildRegion(s, box, 0, p, rng.Derive(7, 0))
+	a := buildRegion(s, box, 0, p, rng.Derive(7, 0))
+	b := buildRegion(s, box, 0, p, rng.Derive(7, 0))
 	if len(a.Nodes) != len(b.Nodes) || len(a.Edges) != len(b.Edges) {
 		t.Fatal("identical seeds should give identical results")
 	}
@@ -58,7 +89,7 @@ func TestBuildRegionBlockedRegion(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	// Entirely inside the obstacle.
 	box := geom.Box3(0.3, 0.3, 0.3, 0.7, 0.7, 0.7)
-	res := BuildRegion(s, box, 0, Params{SamplesPerRegion: 10, K: 3, MaxTries: 5}, rng.New(2))
+	res := buildRegion(s, box, 0, Params{SamplesPerRegion: 10, K: 3}, rng.New(2))
 	if len(res.Nodes) != 0 {
 		t.Fatalf("blocked region produced %d nodes", len(res.Nodes))
 	}
@@ -70,7 +101,7 @@ func TestBuildRegionBlockedRegion(t *testing.T) {
 func TestBuildRegionEdgesValid(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	box := geom.Box3(0, 0, 0, 1, 1, 1)
-	res := BuildRegion(s, box, 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(3))
+	res := buildRegion(s, box, 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(3))
 	for _, e := range res.Edges {
 		if e[0] < 0 || e[0] >= len(res.Nodes) || e[1] < 0 || e[1] >= len(res.Nodes) || e[0] == e[1] {
 			t.Fatalf("edge %v out of range", e)
@@ -90,8 +121,8 @@ func TestWorkHeterogeneity(t *testing.T) {
 	open := geom.Box3(0, 0, 0, 0.15, 0.15, 0.15)
 	clutter := geom.Box3(0.15, 0.15, 0.15, 0.85, 0.85, 0.85) // mostly obstacle
 	p := Params{SamplesPerRegion: 30, K: 4}
-	ro := BuildRegion(s, open, 0, p, rng.New(4))
-	rc := BuildRegion(s, clutter, 1, p, rng.New(4))
+	ro := buildRegion(s, open, 0, p, rng.New(4))
+	rc := buildRegion(s, clutter, 1, p, rng.New(4))
 	if len(ro.Nodes) == 0 || len(rc.Nodes) == 0 {
 		t.Fatal("both regions should produce some nodes")
 	}
@@ -105,8 +136,8 @@ func TestWorkHeterogeneity(t *testing.T) {
 func TestConnectBoundary(t *testing.T) {
 	s := freeSpace()
 	p := Params{SamplesPerRegion: 20, K: 3}
-	a := BuildRegion(s, geom.Box3(0, 0, 0, 0.5, 1, 1), 0, p, rng.Derive(5, 0))
-	b := BuildRegion(s, geom.Box3(0.5, 0, 0, 1, 1, 1), 1, p, rng.Derive(5, 1))
+	a := buildRegion(s, geom.Box3(0, 0, 0, 0.5, 1, 1), 0, p, rng.Derive(5, 0))
+	b := buildRegion(s, geom.Box3(0.5, 0, 0, 1, 1, 1), 1, p, rng.Derive(5, 1))
 	res := ConnectBoundary(s, a.Nodes, b.Nodes, 3, 0)
 	if len(res.Edges) == 0 {
 		t.Fatal("adjacent free regions should connect")
@@ -140,8 +171,8 @@ func TestConnectBoundaryBlockedWall(t *testing.T) {
 	}
 	s := cspace.NewPointSpace(e)
 	p := Params{SamplesPerRegion: 15, K: 3}
-	a := BuildRegion(s, geom.Box3(0, 0, 0, 0.45, 1, 1), 0, p, rng.Derive(6, 0))
-	b := BuildRegion(s, geom.Box3(0.55, 0, 0, 1, 1, 1), 1, p, rng.Derive(6, 1))
+	a := buildRegion(s, geom.Box3(0, 0, 0, 0.45, 1, 1), 0, p, rng.Derive(6, 0))
+	b := buildRegion(s, geom.Box3(0.55, 0, 0, 1, 1, 1), 1, p, rng.Derive(6, 1))
 	res := ConnectBoundary(s, a.Nodes, b.Nodes, 3, 0)
 	if len(res.Edges) != 0 {
 		t.Fatalf("wall-separated regions connected %d times", len(res.Edges))
@@ -150,17 +181,9 @@ func TestConnectBoundaryBlockedWall(t *testing.T) {
 
 func TestQueryFindsPath(t *testing.T) {
 	s := freeSpace()
-	m := NewRoadmap()
-	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 60, K: 6}, rng.New(7))
-	ids := make([]graph.ID, len(res.Nodes))
-	for i, n := range res.Nodes {
-		ids[i] = m.AddNode(n)
-	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(ids[e[0]], ids[e[1]], s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
+	m := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 60, K: 6}, rng.New(7)).roadmap(s)
 	var c cspace.Counters
-	path, ok := Query(s, m, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95), 5, &c)
+	path, ok := BuildIndex(m).Query(s, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.95, 0.95), 5, &c)
 	if !ok {
 		t.Fatal("query in free space should succeed")
 	}
@@ -185,7 +208,7 @@ func TestQueryInvalidEndpoints(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
 	m := NewRoadmap()
 	m.AddNode(Node{Q: geom.V(0.05, 0.05, 0.05)})
-	if _, ok := Query(s, m, geom.V(0.5, 0.5, 0.5), geom.V(0.05, 0.05, 0.05), 2, nil); ok {
+	if _, ok := BuildIndex(m).Query(s, geom.V(0.5, 0.5, 0.5), geom.V(0.05, 0.05, 0.05), 2, nil); ok {
 		t.Fatal("start inside obstacle must fail")
 	}
 }
@@ -204,26 +227,7 @@ func TestQueryDisconnected(t *testing.T) {
 	m := NewRoadmap()
 	m.AddNode(Node{Q: geom.V(0.1, 0.5, 0.5)})
 	m.AddNode(Node{Q: geom.V(0.9, 0.5, 0.5)})
-	if _, ok := Query(s, m, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, nil); ok {
+	if _, ok := BuildIndex(m).Query(s, geom.V(0.05, 0.5, 0.5), geom.V(0.95, 0.5, 0.5), 1, nil); ok {
 		t.Fatal("wall-separated query must fail")
-	}
-}
-
-func TestQueryDoesNotMutateRoadmap(t *testing.T) {
-	s := freeSpace()
-	m := NewRoadmap()
-	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0, Params{SamplesPerRegion: 40, K: 5}, rng.New(21))
-	for _, n := range res.Nodes {
-		m.AddNode(n)
-	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
-	nodes, edges := m.NumNodes(), m.NumEdges()
-	for i := 0; i < 5; i++ {
-		Query(s, m, geom.V(0.1, 0.1, 0.1), geom.V(0.9, 0.9, 0.9), 4, nil)
-	}
-	if m.NumNodes() != nodes || m.NumEdges() != edges {
-		t.Fatalf("query mutated roadmap: %d/%d -> %d/%d", nodes, edges, m.NumNodes(), m.NumEdges())
 	}
 }

@@ -18,7 +18,7 @@ func buildRepairRoadmap(t *testing.T, e *env.Environment, samples int) (*cspace.
 	p := Params{SamplesPerRegion: samples, K: 6}
 	r := rng.New(11)
 	nodes, _ := SampleRegion(s, e.Bounds, 0, p, r)
-	edges, _ := ConnectRegion(s, nodes, p)
+	edges, _ := ConnectRegion(s, nodes, 0, p)
 	m := NewRoadmap()
 	for _, nd := range nodes {
 		m.AddNode(nd)

@@ -13,15 +13,8 @@ import (
 
 func TestRoadmapSaveLoadRoundTrip(t *testing.T) {
 	s := cspace.NewPointSpace(env.MedCube())
-	res := BuildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0,
-		Params{SamplesPerRegion: 40, K: 4}, rng.New(1))
-	m := NewRoadmap()
-	for _, n := range res.Nodes {
-		m.AddNode(n)
-	}
-	for _, e := range res.Edges {
-		m.G.AddEdge(graph.ID(e[0]), graph.ID(e[1]), s.Distance(res.Nodes[e[0]].Q, res.Nodes[e[1]].Q))
-	}
+	m := buildRegion(s, geom.Box3(0, 0, 0, 1, 1, 1), 0,
+		Params{SamplesPerRegion: 40, K: 4}, rng.New(1)).roadmap(s)
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -43,8 +36,8 @@ func TestRoadmapSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// A query must work identically on the reloaded roadmap.
-	p1, ok1 := Query(s, m, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.05, 0.05), 5, nil)
-	p2, ok2 := Query(s, back, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.05, 0.05), 5, nil)
+	p1, ok1 := BuildIndex(m).Query(s, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.05, 0.05), 5, nil)
+	p2, ok2 := BuildIndex(back).Query(s, geom.V(0.05, 0.05, 0.05), geom.V(0.95, 0.05, 0.05), 5, nil)
 	if ok1 != ok2 || len(p1) != len(p2) {
 		t.Fatalf("query mismatch after reload: %v/%d vs %v/%d", ok1, len(p1), ok2, len(p2))
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"parmp/internal/cspace"
-	"parmp/internal/geom"
 	"parmp/internal/region"
 	"parmp/internal/rng"
 )
@@ -66,11 +65,10 @@ type BiResult struct {
 func NewBiTree(s *cspace.Space, reg *region.Region, goal cspace.Config, r *rng.Stream) (*BiTree, cspace.Counters) {
 	a := GetArena()
 	defer PutArena(a)
-	return NewBiTreeArena(s, reg, goal, r, a)
+	return newBiTree(s, reg, goal, r, a)
 }
 
-// NewBiTreeArena is NewBiTree through an explicit arena.
-func NewBiTreeArena(s *cspace.Space, reg *region.Region, goal cspace.Config, r *rng.Stream, a *Arena) (*BiTree, cspace.Counters) {
+func newBiTree(s *cspace.Space, reg *region.Region, goal cspace.Config, r *rng.Stream, a *Arena) (*BiTree, cspace.Counters) {
 	var work cspace.Counters
 	bi := &BiTree{A: NewTree(reg.Apex, reg.ID)}
 	d := reg.Apex.Dim()
@@ -130,14 +128,7 @@ func boundedConeTarget(s *cspace.Space, reg *region.Region) cspace.Config {
 	return reg.Apex.Add(reg.Ray.Scale(tmax * 0.999))
 }
 
-// GrowBiTree is GrowBiTreeArena through a pooled arena.
-func GrowBiTree(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rng.Stream) BiResult {
-	a := GetArena()
-	defer PutArena(a)
-	return GrowBiTreeArena(s, reg, bi, p, r, a)
-}
-
-// GrowBiTreeArena continues growing a region's tree pair until the
+// GrowBiTree continues growing a region's tree pair until the
 // combined node count reaches p.Nodes, the iteration budget runs out,
 // or the trees meet (a met pair stops growing — its corridor through
 // the region is established). Each iteration extends one tree (they
@@ -146,16 +137,21 @@ func GrowBiTree(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rn
 // it exactly or a step is blocked. All candidate edges validate through
 // the batched SoA collision kernels.
 //
-// Passing a freshly rooted pair is exactly the one-shot planner's first
-// round, so engines resuming a committed pair stay bit-identical to an
+// Engines resuming a committed pair stay bit-identical to an
 // uninterrupted run with the same per-round streams. RRT-Connect
 // requires symmetric local motions; callers gate steered spaces out.
-func GrowBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rng.Stream, a *Arena) BiResult {
+func GrowBiTree(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rng.Stream) BiResult {
+	a := GetArena()
+	defer PutArena(a)
+	return growBiTree(s, reg, bi, p, r, a)
+}
+
+func growBiTree(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, r *rng.Stream, a *Arena) BiResult {
 	res := BiResult{Bi: bi}
 	if bi.B == nil {
 		// No free goal-side root exists in this region's cone: grow a
 		// plain branch so the region still contributes coverage.
-		gr := GrowTreeArena(s, reg, bi.A, p, r, a)
+		gr := growTree(s, reg, bi.A, p, r, a)
 		res.Work = gr.Work
 		res.Iters = gr.Iters
 		return res
@@ -166,15 +162,10 @@ func GrowBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, 
 		if res.Iters%2 == 1 {
 			cur, other = bi.B, bi.A
 		}
-		if r.Float64() < p.GoalBias {
-			a.qRand = geom.CopyInto(a.qRand, target)
-		} else {
-			a.qRand = region.SampleInConeInto(a.qRand, reg, r)
-		}
-		newIdx, ok := extendOnce(s, reg, cur, a.qRand, p.Step, &res.Work, a)
-		if !ok {
+		if !extendOnce(s, reg, cur, a.sampleCone(reg, target, p.GoalBias, r), p.Step, &res.Work, a) {
 			continue
 		}
+		newIdx := cur.Len() - 1
 		meetIdx, reached := connectGreedy(s, reg, other, cur.Nodes[newIdx].Q, p.Step, &res.Work, a)
 		if reached {
 			bi.Met = true
@@ -188,80 +179,22 @@ func GrowBiTreeArena(s *cspace.Space, reg *region.Region, bi *BiTree, p Params, 
 	return res
 }
 
-// extendOnce extends t one step toward qRand, mirroring GrowTreeArena's
-// acceptance checks (bounds, cone, validity, batched local plan). It
-// returns the new node's index and whether the extension was accepted.
-func extendOnce(s *cspace.Space, reg *region.Region, t *Tree, qRand cspace.Config, step float64, w *cspace.Counters, a *Arena) (int, bool) {
-	nearIdx := 0
-	bestD := math.Inf(1)
-	for i, n := range t.Nodes {
-		if d := s.Distance(n.Q, qRand); d < bestD {
-			bestD = d
-			nearIdx = i
-		}
-	}
-	w.KNNQueries++
-	w.KNNEvals += int64(t.Len())
-	qNear := t.Nodes[nearIdx].Q
-	a.qNew, _ = s.StepTowardInto(a.qNew, qNear, qRand, step)
-	qNew := a.qNew
-	w.Samples++
-	if !s.Bounds.Contains(qNew) {
-		return 0, false
-	}
-	if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
-		return 0, false
-	}
-	if !s.ValidS(qNew, &a.sc, w) {
-		return 0, false
-	}
-	if !s.LocalPlanBatch(qNear, qNew, &a.bt, w) {
-		return 0, false
-	}
-	t.Nodes = append(t.Nodes, Node{Q: qNew.Clone(), Parent: nearIdx, Region: reg.ID})
-	return t.Len() - 1, true
-}
-
 // connectGreedy is the CONNECT heuristic: starting from t's node
 // nearest to q, repeatedly step toward q, appending each accepted step
 // as a node, until q is reached exactly (returning its node index and
 // true) or a step leaves the region, collides, or the step budget runs
 // out (trapped).
 func connectGreedy(s *cspace.Space, reg *region.Region, t *Tree, q cspace.Config, step float64, w *cspace.Counters, a *Arena) (int, bool) {
-	nearIdx := 0
-	bestD := math.Inf(1)
-	for i, n := range t.Nodes {
-		if d := s.Distance(n.Q, q); d < bestD {
-			bestD = d
-			nearIdx = i
-		}
-	}
-	w.KNNQueries++
-	w.KNNEvals += int64(t.Len())
-	// Straight-line marching covers bestD in ceil(bestD/step) steps; the
-	// 2x slack plus constant guards float edge cases without allowing
-	// unbounded growth.
-	maxSteps := 4 + 2*int(math.Ceil(bestD/step))
-	cur := nearIdx
+	cur, d := nearest(s, t.Nodes, q, w)
+	// Straight-line marching covers d in ceil(d/step) steps; the 2x slack
+	// plus constant guards float edge cases without allowing unbounded
+	// growth.
+	maxSteps := 4 + 2*int(math.Ceil(d/step))
 	for n := 0; n < maxSteps; n++ {
-		qNear := t.Nodes[cur].Q
-		var reached bool
-		a.qNew, reached = s.StepTowardInto(a.qNew, qNear, q, step)
-		qNew := a.qNew
-		w.Samples++
-		if !s.Bounds.Contains(qNew) {
+		reached, ok := acceptStep(s, reg, t, cur, q, step, w, a)
+		if !ok {
 			return 0, false
 		}
-		if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
-			return 0, false
-		}
-		if !s.ValidS(qNew, &a.sc, w) {
-			return 0, false
-		}
-		if !s.LocalPlanBatch(qNear, qNew, &a.bt, w) {
-			return 0, false
-		}
-		t.Nodes = append(t.Nodes, Node{Q: qNew.Clone(), Parent: cur, Region: reg.ID})
 		cur = t.Len() - 1
 		if reached {
 			return cur, true

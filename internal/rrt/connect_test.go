@@ -126,13 +126,13 @@ func TestGrowBiTreeArenaReuseBitIdentical(t *testing.T) {
 	defer PutArena(dirty)
 	for _, seed := range []uint64{31, 32} {
 		fr := rng.Derive(seed, 0)
-		fbi, fw := NewBiTreeArena(s, reg, nil, fr, new(Arena))
-		fres := GrowBiTreeArena(s, reg, fbi, p, fr, new(Arena))
+		fbi, fw := newBiTree(s, reg, nil, fr, new(Arena))
+		fres := growBiTree(s, reg, fbi, p, fr, new(Arena))
 		fres.Work.Add(fw)
 		for rep := 0; rep < 3; rep++ {
 			dr := rng.Derive(seed, 0)
-			dbi, dw := NewBiTreeArena(s, reg, nil, dr, dirty)
-			dres := GrowBiTreeArena(s, reg, dbi, p, dr, dirty)
+			dbi, dw := newBiTree(s, reg, nil, dr, dirty)
+			dres := growBiTree(s, reg, dbi, p, dr, dirty)
 			dres.Work.Add(dw)
 			biEqual(t, dres, fres)
 		}
@@ -147,7 +147,7 @@ func TestGrowBiTreeSingleTreeFallback(t *testing.T) {
 
 	bi := &BiTree{A: NewTree(reg.Apex, reg.ID)}
 	got := GrowBiTree(s, reg, bi, p, rng.New(11))
-	want := GrowRegion(s, reg, p, rng.New(11))
+	want := GrowTree(s, reg, NewTree(reg.Apex, reg.ID), p, rng.New(11))
 	treesEqual(t, Result{Tree: got.Bi.A, Work: got.Work, Iters: got.Iters}, want)
 }
 

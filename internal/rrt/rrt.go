@@ -56,16 +56,13 @@ type Params struct {
 	// GoalBias is the probability of sampling the region's cone target
 	// instead of a uniform point in the cone.
 	GoalBias float64
-	// MaxIters bounds expansion iterations (default 20 × Nodes).
-	MaxIters int
 }
 
-func (p Params) maxIters() int {
-	if p.MaxIters > 0 {
-		return p.MaxIters
-	}
-	return 20 * p.Nodes
-}
+// itersPerNode sets a growth call's expansion budget: itersPerNode ×
+// Nodes iterations, so a region whose cone is mostly blocked stops.
+const itersPerNode = 20
+
+func (p Params) maxIters() int { return itersPerNode * p.Nodes }
 
 // Result is the product of growing one region branch.
 type Result struct {
@@ -75,93 +72,85 @@ type Result struct {
 	Iters int
 }
 
-// GrowRegion grows an RRT branch inside reg: sample in the cone (biased
-// toward the cone target), extend the nearest tree node by at most Step,
-// keep the new node if the extension is collision-free and stays inside
-// the (overlap-widened) cone.
+// GrowTree grows tree inside reg until it has p.Nodes nodes (total, not
+// additional) or the iteration budget runs out. Each iteration samples
+// in the cone (biased toward the cone target), extends the nearest tree
+// node by at most Step, and keeps the new node if the extension is
+// collision-free and stays inside the (overlap-widened) cone. A fresh
+// NewTree(reg.Apex, reg.ID) starts a region's branch; an engine's later
+// rounds pass the previous round's tree to resume growth.
 //
 // The returned work counters reflect the actual collision effort, which
 // varies strongly with the obstacle density in the cone's direction —
 // exactly the dynamic, hard-to-estimate workload the paper describes for
 // radial RRT.
-func GrowRegion(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream) Result {
-	a := GetArena()
-	defer PutArena(a)
-	return GrowRegionArena(s, reg, p, r, a)
-}
-
-// GrowRegionArena is GrowRegion through an explicit arena: candidate and
-// stepped configurations live in reused buffers (cloned only on
-// acceptance) and collision checks route through the arena's scratch.
-// RNG consumption is identical to the allocating path, so the grown tree
-// is the same for the same stream.
-func GrowRegionArena(s *cspace.Space, reg *region.Region, p Params, r *rng.Stream, a *Arena) Result {
-	return GrowTreeArena(s, reg, NewTree(reg.Apex, reg.ID), p, r, a)
-}
-
-// GrowTree continues growing an existing branch inside reg until it has
-// p.Nodes nodes (total, not additional) or the iteration budget runs
-// out. Passing a fresh single-node tree is exactly GrowRegion — the
-// one-shot planners route through here — so an engine's first round is
-// bit-identical to the one-shot pipeline; later rounds pass the
-// previous round's tree to resume growth.
 func GrowTree(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream) Result {
 	a := GetArena()
 	defer PutArena(a)
-	return GrowTreeArena(s, reg, tree, p, r, a)
+	return growTree(s, reg, tree, p, r, a)
 }
 
-// GrowTreeArena is GrowTree through an explicit arena.
-func GrowTreeArena(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream, a *Arena) Result {
+func growTree(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r *rng.Stream, a *Arena) Result {
 	res := Result{Tree: tree}
 	target := region.ConeTarget(reg)
-	// Brute-force nearest neighbour: the tree is rebuilt incrementally and
-	// stays small per region; metering matches kd usage elsewhere.
-	for res.Iters = 0; res.Iters < p.maxIters() && res.Tree.Len() < p.Nodes; res.Iters++ {
-		if r.Float64() < p.GoalBias {
-			a.qRand = geom.CopyInto(a.qRand, target)
-		} else {
-			a.qRand = region.SampleInConeInto(a.qRand, reg, r)
-		}
-		qRand := a.qRand
-		// Nearest node in the branch under the space's weighted metric
-		// (angular DOFs are down-weighted so spatial exploration is not
-		// dominated by heading differences).
-		nearIdx := 0
-		bestD := math.Inf(1)
-		for i, n := range res.Tree.Nodes {
-			if d := s.Distance(n.Q, qRand); d < bestD {
-				bestD = d
-				nearIdx = i
-			}
-		}
-		res.Work.KNNQueries++
-		res.Work.KNNEvals += int64(res.Tree.Len())
-		qNear := res.Tree.Nodes[nearIdx].Q
-
-		a.qNew, _ = s.StepTowardInto(a.qNew, qNear, qRand, p.Step)
-		qNew := a.qNew
-		res.Work.Samples++
-		if !s.Bounds.Contains(qNew) {
-			continue
-		}
-		// Stay within the region (cone plus overlap). Steered spaces are
-		// exempt: a feasible curve's first step generally does not move
-		// toward the sample, so the cone acts as a sampling bias only
-		// ("some overlap between regions is allowed so branches can
-		// explore part of the space in adjacent regions").
-		if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
-			continue
-		}
-		if !s.ValidS(qNew, &a.sc, &res.Work) {
-			continue
-		}
-		if !s.LocalPlanBatch(qNear, qNew, &a.bt, &res.Work) {
-			continue
-		}
-		res.Tree.Nodes = append(res.Tree.Nodes, Node{Q: qNew.Clone(), Parent: nearIdx, Region: reg.ID})
+	for res.Iters = 0; res.Iters < p.maxIters() && tree.Len() < p.Nodes; res.Iters++ {
+		extendOnce(s, reg, tree, a.sampleCone(reg, target, p.GoalBias, r), p.Step, &res.Work, a)
 	}
 	return res
+}
+
+// nearest returns the index of the node nearest q under the space's
+// weighted metric (angular DOFs are down-weighted so spatial exploration
+// is not dominated by heading differences) and its distance, metering
+// one brute-force kNN query: branches stay small per region, so a scan
+// beats maintaining an index.
+func nearest(s *cspace.Space, nodes []Node, q cspace.Config, w *cspace.Counters) (int, float64) {
+	idx, best := 0, math.Inf(1)
+	for i, n := range nodes {
+		if d := s.Distance(n.Q, q); d < best {
+			idx, best = i, d
+		}
+	}
+	w.KNNQueries++
+	w.KNNEvals += int64(len(nodes))
+	return idx, best
+}
+
+// extendOnce extends t one step from its node nearest qRand toward qRand
+// and reports whether the new node was kept.
+func extendOnce(s *cspace.Space, reg *region.Region, t *Tree, qRand cspace.Config, step float64, w *cspace.Counters, a *Arena) bool {
+	near, _ := nearest(s, t.Nodes, qRand, w)
+	_, ok := acceptStep(s, reg, t, near, qRand, step, w, a)
+	return ok
+}
+
+// acceptStep steps from t's node from toward q by at most step and
+// appends the new node when it stays in bounds, stays within the region
+// (cone plus overlap), is valid, and the edge to it is free. Steered
+// spaces are exempt from the cone: a feasible curve's first step
+// generally does not move toward the sample, so the cone acts as a
+// sampling bias only ("some overlap between regions is allowed so
+// branches can explore part of the space in adjacent regions"). reached
+// reports that the step arrived at q exactly.
+func acceptStep(s *cspace.Space, reg *region.Region, t *Tree, from int, q cspace.Config, step float64, w *cspace.Counters, a *Arena) (reached, ok bool) {
+	qNear := t.Nodes[from].Q
+	a.qNew, reached = s.StepTowardInto(a.qNew, qNear, q, step)
+	qNew := a.qNew
+	w.Samples++
+	if !s.Bounds.Contains(qNew) {
+		return false, false
+	}
+	if s.Steer == nil && !region.InCone(reg, qNew[:reg.Apex.Dim()]) {
+		return false, false
+	}
+	if !s.ValidS(qNew, &a.sc, w) {
+		return false, false
+	}
+	if !s.LocalPlanBatch(qNear, qNew, &a.bt, w) {
+		return false, false
+	}
+	t.Nodes = append(t.Nodes, Node{Q: qNew.Clone(), Parent: from, Region: reg.ID})
+	return reached, true
 }
 
 // Connect attempts to join two region branches: for each frontier node of
@@ -171,17 +160,15 @@ func GrowTreeArena(s *cspace.Space, reg *region.Region, tree *Tree, p Params, r 
 func Connect(s *cspace.Space, a, b *Tree, bTarget geom.Vec, kFrontier int, c *cspace.Counters) (int, int, bool) {
 	ar := GetArena()
 	defer PutArena(ar)
-	return ConnectArena(s, a, b, bTarget, kFrontier, c, ar)
+	return connect(s, a, b, bTarget, kFrontier, c, ar)
 }
 
-// ConnectArena is Connect through an explicit arena: both trees' point
-// slices, the kd-tree over b and all kNN scratch are reused.
-func ConnectArena(s *cspace.Space, a, b *Tree, bTarget geom.Vec, kFrontier int, c *cspace.Counters, ar *Arena) (int, int, bool) {
+func connect(s *cspace.Space, a, b *Tree, bTarget geom.Vec, kFrontier int, c *cspace.Counters, ar *Arena) (int, int, bool) {
 	if a.Len() == 0 || b.Len() == 0 {
 		return 0, 0, false
 	}
-	aPts := ar.auxPoints(a)
-	bPts := ar.treePoints(b)
+	aPts := ar.auxPoints(a.Nodes)
+	bPts := ar.treePoints(b.Nodes)
 	// Frontier of a: nodes nearest to b's territory.
 	frontier, _ := knn.BruteNearestInto(&ar.qsc, aPts, bTarget, kFrontier, -1, ar.near[:0])
 	ar.near = frontier

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"parmp/internal/cspace"
-	"parmp/internal/geom"
 	"parmp/internal/knn"
 	"parmp/internal/region"
 	"parmp/internal/rng"
@@ -20,12 +19,6 @@ type StarTree struct {
 // Len returns the node count.
 func (t *StarTree) Len() int { return len(t.Nodes) }
 
-// StarParams configures region RRT* growth. The choose-parent and
-// rewiring neighbourhood radius is 3 x Step.
-type StarParams struct {
-	Params
-}
-
 // StarResult is the product of growing one RRT* region branch.
 type StarResult struct {
 	Tree    *StarTree
@@ -34,54 +27,30 @@ type StarResult struct {
 	Rewires int // parent changes applied by the rewiring step
 }
 
-// GrowRegionStar grows an asymptotically-optimal RRT* branch inside reg
+// GrowStarTree grows an asymptotically-optimal RRT* branch inside reg
 // (Karaman & Frazzoli 2011; the GPU-parallelized variant is Bialkowski et
-// al. 2011, cited by the paper). It extends like GrowRegion but chooses
-// the lowest-cost parent in the rewire neighbourhood and rewires
-// neighbours through the new node when that shortens their path to the
-// root. The extra local planning makes region costs even more
-// heterogeneous, which is why it is interesting for load balancing.
-func GrowRegionStar(s *cspace.Space, reg *region.Region, p StarParams, r *rng.Stream) StarResult {
-	return GrowStarTree(s, reg, &StarTree{
-		Nodes: []Node{{Q: reg.Apex.Clone(), Parent: -1, Region: reg.ID}},
-		Cost:  []float64{0},
-	}, p, r)
-}
-
-// GrowStarTree continues growing an existing RRT* branch until it has
-// p.Nodes nodes (total) or the iteration budget runs out. Like
-// rrt.GrowTree, a fresh single-node tree reproduces GrowRegionStar
-// exactly; an engine's later rounds pass the previous round's tree
-// (with its cost-to-root vector) so choose-parent and rewiring keep
-// improving the existing branch.
-func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p StarParams, r *rng.Stream) StarResult {
+// al. 2011, cited by the paper) until it has p.Nodes nodes (total) or
+// the iteration budget runs out. It extends like GrowTree but chooses
+// the lowest-cost parent within radius 3 × Step and rewires neighbours
+// through the new node when that shortens their path to the root. The
+// extra local planning makes region costs even more heterogeneous,
+// which is why it is interesting for load balancing. A fresh tree holds
+// only the apex at cost 0; an engine's later rounds pass the previous
+// round's tree (with its cost-to-root vector) so choose-parent and
+// rewiring keep improving the existing branch.
+func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p Params, r *rng.Stream) StarResult {
 	a := GetArena()
 	defer PutArena(a)
+	return growStarTree(s, reg, tree, p, r, a)
+}
+
+func growStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p Params, r *rng.Stream, a *Arena) StarResult {
 	res := StarResult{Tree: tree}
 	target := region.ConeTarget(reg)
 	radius := 3 * p.Step
 	for res.Iters = 0; res.Iters < p.maxIters() && res.Tree.Len() < p.Nodes; res.Iters++ {
-		if r.Float64() < p.GoalBias {
-			a.qRand = geom.CopyInto(a.qRand, target)
-		} else {
-			a.qRand = region.SampleInConeInto(a.qRand, reg, r)
-		}
-		qRand := a.qRand
-		if cap(a.pts) < res.Tree.Len() {
-			a.pts = make([]geom.Vec, res.Tree.Len())
-		}
-		pts := a.pts[:res.Tree.Len()]
-		nearIdx := 0
-		bestNear := math.Inf(1)
-		for i, n := range res.Tree.Nodes {
-			pts[i] = n.Q
-			if d := s.Distance(n.Q, qRand); d < bestNear {
-				bestNear = d
-				nearIdx = i
-			}
-		}
-		res.Work.KNNQueries++
-		res.Work.KNNEvals += int64(len(pts))
+		qRand := a.sampleCone(reg, target, p.GoalBias, r)
+		nearIdx, _ := nearest(s, res.Tree.Nodes, qRand, &res.Work)
 		a.qNew, _ = s.StepTowardInto(a.qNew, res.Tree.Nodes[nearIdx].Q, qRand, p.Step)
 		qNew := a.qNew
 		res.Work.Samples++
@@ -93,9 +62,9 @@ func GrowStarTree(s *cspace.Space, reg *region.Region, tree *StarTree, p StarPar
 		}
 
 		// Choose-parent: the neighbour minimizing cost-to-root + edge.
-		neighbours := knn.BruteRadiusInto(pts, qNew, radius, a.near[:0])
+		neighbours := knn.BruteRadiusInto(a.treePoints(res.Tree.Nodes), qNew, radius, a.near[:0])
 		a.near = neighbours
-		res.Work.KNNEvals += int64(len(pts))
+		res.Work.KNNEvals += int64(res.Tree.Len())
 		bestParent := -1
 		bestCost := math.Inf(1)
 		if s.LocalPlanS(res.Tree.Nodes[nearIdx].Q, qNew, &a.sc, &res.Work) {
